@@ -479,12 +479,6 @@ def main(argv=None):
     except ArgumentError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    mode_of_command = args.command.upper()
-    declared = config.get("mode")
-    if declared not in (None, mode_of_command):
-        # a config may declare its intended mode; other subcommands are
-        # still allowed to run against it (e.g. classify on a SAMPLE config)
-        pass
     seed = args.seed if args.seed is not None else config.get("seed", 0)
     out_dir = args.out or config.get("output_dir") or ("runs/%s" % args.command)
     try:

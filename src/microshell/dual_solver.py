@@ -84,33 +84,18 @@ class _AscentDiverged(Exception):
     from below)."""
 
 
-def _stats(obs_set, p, m, params):
-    """H(p), first m moments and m-by-m covariance in one shared pass."""
+def _stats(obs_set, p, params):
+    """H(p), the k moments and the k-by-k covariance from one
+    tilt-statistics pass."""
     c = quad.lebesgue_coefficients(obs_set, p)
-    log_den = quad._log_integral(obs_set, c, (), params)
-    h = log_den - quad._log_base_norm(obs_set, params.rel_tol)
-    mom = np.empty(m)
-    for i in range(m):
-        mom[i] = np.exp(
-            quad._log_integral(obs_set, c, (i,), params, divergence_check=True)
-            - log_den
-        )
-    second = np.empty((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            second[i, j] = second[j, i] = np.exp(
-                quad._log_integral(obs_set, c, (i, j), params, divergence_check=True)
-                - log_den
-            )
-    cov = second - np.outer(mom, mom)
-    return h, mom, 0.5 * (cov + cov.T)
+    log_z, mom, cov = quad._tilt_stats(obs_set, c, obs_set.k, params)
+    return log_z - quad._log_base_norm(obs_set, params.rel_tol), mom, cov
 
 
-def _objective(obs_set, p, targets_m, m, params):
-    c = quad.lebesgue_coefficients(obs_set, p)
-    log_den = quad._log_integral(obs_set, c, (), params)
-    h = log_den - quad._log_base_norm(obs_set, params.rel_tol)
-    return h - float(np.dot(p[:m], targets_m))
+def _above_g2(a_k, g2v):
+    """a_k >= g2 up to 1e-9 (1 + |a_k|), so that quadrature noise in g2
+    cannot flip a target that sits exactly on the phase boundary."""
+    return a_k >= g2v - 1e-9 * (1.0 + abs(a_k))
 
 
 def _match_prefix(obs_set, targets_m, params, init=None):
@@ -126,6 +111,7 @@ def _match_prefix(obs_set, targets_m, params, init=None):
     certifies that the m-th target exceeds every reachable m-th moment
     on this face (p_m pinned at the bound with its moment short), and
     _AscentDiverged when the target prefix is unreachable from below.
+    Returns the tilt, the iteration count and the tilt's _stats.
     """
     k = obs_set.k
     m = len(targets_m)
@@ -146,21 +132,22 @@ def _match_prefix(obs_set, targets_m, params, init=None):
         return p
 
     p = to_p(u)
-    f_cur = _objective(obs_set, p, targets_m, m, params)
+    stats = _stats(obs_set, p, params)
+    f_cur = stats[0] - float(np.dot(p[:m], targets_m))
     drift_count = 0
     resid_hist = []
     for it in range(1, _MAX_ITER + 1):
-        h, mom, cov = _stats(obs_set, p, m, params)
-        grad = mom - targets_m
+        _, mom, cov = stats
+        grad = mom[:m] - targets_m
         resid = float(np.max(np.abs(grad)))
         resid_hist.append(resid)
         if resid <= _MOMENT_TOL:
-            return p, it, resid
+            return p, it, stats
         # chain rule: dp_m/du_m = -e^u
         dpdu = -math.exp(u[m - 1])
         grad_u = grad.copy()
         grad_u[m - 1] *= dpdu
-        hess = cov.copy()
+        hess = cov[:m, :m].copy()
         hess[m - 1, :] *= dpdu
         hess[:, m - 1] *= dpdu
         hess[m - 1, m - 1] += grad[m - 1] * dpdu
@@ -185,9 +172,10 @@ def _match_prefix(obs_set, targets_m, params, init=None):
         for _ in range(60):
             trial_u = u + alpha * d
             trial_p = to_p(trial_u)
-            f_new = _objective(obs_set, trial_p, targets_m, m, params)
+            trial_stats = _stats(obs_set, trial_p, params)
+            f_new = trial_stats[0] - float(np.dot(trial_p[:m], targets_m))
             if f_new <= f_cur + 1e-4 * alpha * gTd + 1e-14:
-                u, p, f_cur = trial_u, trial_p, f_new
+                u, p, f_cur, stats = trial_u, trial_p, f_new, trial_stats
                 accepted = True
                 break
             alpha *= 0.5
@@ -217,9 +205,8 @@ def _match_prefix(obs_set, targets_m, params, init=None):
     raise SolverStall("no convergence in %d iterations" % _MAX_ITER)
 
 
-def _solution(obs_set, p, targets, matched, iterations, params):
-    achieved = quad.moments(obs_set, p, params)
-    h = quad.log_partition(obs_set, p, params)
+def _solution(p, stats, targets, matched, iterations):
+    h, achieved, _ = stats
     resid = float(np.max(np.abs(achieved[:matched] - np.asarray(targets)[:matched])))
     return DualSolution(
         p=tuple(float(v) for v in p),
@@ -251,12 +238,12 @@ def solve_reduced(obs_set, targets, params=None):
     best = None
     for level in range(m, 0, -1):
         try:
-            p, iters, _ = _match_prefix(obs_set, targets[:level], params)
+            p, iters, stats = _match_prefix(obs_set, targets[:level], params)
         except _BoundaryDrift:
             continue
         except _AscentDiverged as exc:
             raise Infeasible("targets unreachable: %s" % exc, best=best) from exc
-        sol = _solution(obs_set, p, targets, level, iters, params)
+        sol = _solution(p, stats, targets, level, iters)
         best = sol
         extra = np.asarray(sol.achieved[level:m]) - targets[level:m]
         if np.all(np.abs(extra) <= 1e-6):
@@ -287,14 +274,14 @@ def solve_full(obs_set, targets, params=None):
     if targets.shape != (k,) or np.any(targets <= 0):
         raise ArgumentError("need k positive targets")
     try:
-        p, iters, _ = _match_prefix(obs_set, targets, params)
+        p, iters, stats = _match_prefix(obs_set, targets, params)
     except _BoundaryDrift as exc:
         raise NoFullTilt(
             "no interior tilt matches all moments (extraneous regime): %s" % exc
         ) from exc
     except _AscentDiverged as exc:
         raise Infeasible("targets unreachable by any tilt: %s" % exc) from exc
-    return _solution(obs_set, p, targets, k, iters, params)
+    return _solution(p, stats, targets, k, iters)
 
 
 def g2(obs_set, targets, params=None):
@@ -349,44 +336,34 @@ def g1(obs_set, targets, params=None):
 
 def _pinned_last_moment(obs_set, targets, t, params):
     """E[phi_k] with p_k fixed at -t and the first k-1 moments matched."""
-    k = obs_set.k
-    m = k - 1
-    p = np.zeros(k)
-    p[k - 1] = -t
-    f = lambda q: _pin_objective(obs_set, q, targets, t, params)
-    f_cur, mom, cov = f(p[:m])
+    m = obs_set.k - 1
+
+    def f(q):
+        h, mom, cov = _stats(obs_set, np.append(q, -t), params)
+        return h - float(np.dot(q, targets)), mom, cov
+
+    q = np.zeros(m)
+    f_cur, mom, cov = f(q)
     for _ in range(_MAX_ITER):
-        grad = mom - targets
+        grad = mom[:m] - targets
         if float(np.max(np.abs(grad))) <= _MOMENT_TOL:
             break
         try:
-            d = np.linalg.solve(cov, -grad)
+            d = np.linalg.solve(cov[:m, :m], -grad)
         except np.linalg.LinAlgError:
-            d = np.linalg.solve(cov + 1e-12 * np.eye(m), -grad)
+            d = np.linalg.solve(cov[:m, :m] + 1e-12 * np.eye(m), -grad)
         dmax = float(np.max(np.abs(d)))
         if dmax > _MAX_STEP:
             d *= _MAX_STEP / dmax
         alpha, gTd = 1.0, float(np.dot(grad, d))
         for _ in range(50):
-            trial = p[:m] + alpha * d
+            trial = q + alpha * d
             f_new, mom_new, cov_new = f(trial)
             if f_new <= f_cur + 1e-4 * alpha * gTd + 1e-14:
-                p[:m], f_cur, mom, cov = trial, f_new, mom_new, cov_new
+                q, f_cur, mom, cov = trial, f_new, mom_new, cov_new
                 break
             alpha *= 0.5
-    full = p.copy()
-    ach = quad.moments(obs_set, full, params)
-    return float(ach[k - 1])
-
-
-def _pin_objective(obs_set, q, targets, t, params):
-    k = obs_set.k
-    m = k - 1
-    p = np.zeros(k)
-    p[:m] = q
-    p[k - 1] = -t
-    h, mom, cov = _stats(obs_set, p, m, params)
-    return h - float(np.dot(q, targets)), mom, cov
+    return float(mom[m])
 
 
 def classify(obs_set, targets, params=None):
@@ -440,7 +417,7 @@ def classify(obs_set, targets, params=None):
 
     if reduced is not None:
         g2v = float(reduced.achieved[k - 1])
-        if targets[k - 1] >= g2v:
+        if _above_g2(targets[k - 1], g2v):
             return PhaseReport(
                 regime="EXTRANEOUS", g1=g1v, g2=g2v, reduced=reduced
             )

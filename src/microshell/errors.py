@@ -14,11 +14,7 @@ class DomainError(MicroshellError):
 
 
 class QuadratureError(MicroshellError):
-    """Adaptive quadrature failed to converge within its panel budget."""
-
-
-class MomentDivergence(MicroshellError):
-    """A requested tilted moment diverges (boundary tilt with infinite tail)."""
+    """Quadrature missed its tolerance within its panel or refinement budget."""
 
 
 class ArgumentError(MicroshellError):
@@ -59,10 +55,6 @@ class ClassificationInconclusive(MicroshellError):
         super().__init__(message)
         self.reduced = reduced
         self.full = full
-
-
-class Unsupported(MicroshellError):
-    """Operation not available for this observable family."""
 
 
 class FeasibilityError(MicroshellError):

@@ -2,9 +2,11 @@
 
 All integrals over (0, inf) are computed after the substitution x = e^t,
 in log space with the exponent maximum subtracted before exponentiation,
-so that arbitrarily scaled tilts never overflow.  Panels are refined by
-adaptive bisection of Gauss-Legendre rules; tails are truncated where the
-log-integrand falls a fixed number of nats below its maximum.
+so that arbitrarily scaled tilts never overflow.  Tails are truncated
+where the log-integrand falls a fixed number of nats below its maximum.
+The statistics of a tilt (log Z, moments, covariance) come from one
+composite Gauss-Legendre grid in t, refined until two grids agree;
+interval probabilities use adaptive bisection of Gauss-Legendre panels.
 
 The reference measure is lambda = (1/Z) exp(-phi_1(x)) dx, so a tilt
 vector p corresponds to the Lebesgue density
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ArgumentError, DomainError, MomentDivergence, QuadratureError
+from .errors import ArgumentError, DomainError, QuadratureError
 
 __all__ = [
     "QuadratureParams",
@@ -38,6 +40,7 @@ __all__ = [
 ]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
+_GRID_HALVINGS = 4
 
 
 @dataclass(frozen=True)
@@ -83,26 +86,28 @@ def in_domain(obs_set, p):
     return p[0] < 1.0
 
 
-def _log_weight(obs_set, c, extra_logs, t):
-    """Log-integrand in t-space: sum_i c_i phi_i(e^t) + t (+ extra logs).
+def _log_weight(obs_set, c, t):
+    """Log-integrand in t-space: sum_i c_i phi_i(e^t) + t.
 
-    extra_logs is a list of observable indices whose log-value is added,
-    used for moment numerators; non-finite values are treated as -inf
-    (the exponent has decayed past floating-point range).
+    Non-finite values are treated as -inf (the exponent has decayed past
+    floating-point range).
     """
     x = np.exp(t)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         g = np.array(t, dtype=float, copy=True)
         for i, ci in enumerate(c):
             if ci != 0.0:
                 g = g + ci * obs_set.items[i].eval(x)
-        for i in extra_logs:
-            g = g + np.log(obs_set.items[i].eval(x))
     return np.where(np.isnan(g), -np.inf, g)
 
 
-def _bracket(gfun, cut_nats, divergence_check=False):
-    """Find [t_lo, t_hi] containing all t with g(t) > max(g) - cut_nats."""
+def _bracket(gfun, cut_nats):
+    """Find [t_lo, t_hi] containing all t with g(t) > max(g) - cut_nats.
+
+    With fewer than 16 scan points above the cut, the scan is repeated
+    between their neighbours: a peak narrower than the scan step can sit
+    1e4 nats above the scanned maximum and overflow every integral.
+    """
     lo, hi = -80.0, 60.0
     for _ in range(4):
         ts = np.linspace(lo, hi, 2801)
@@ -111,20 +116,22 @@ def _bracket(gfun, cut_nats, divergence_check=False):
         if not np.isfinite(gmax):
             raise QuadratureError("log-integrand has no finite maximum")
         above = gs > gmax - cut_nats
-        left_open = above[0]
-        right_open = above[-1]
-        if not left_open and not right_open:
-            idx = np.where(above)[0]
-            t_lo = ts[max(idx[0] - 1, 0)]
-            t_hi = ts[min(idx[-1] + 1, len(ts) - 1)]
-            return t_lo, t_hi, gmax
-        if left_open:
-            lo *= 2.0
-        if right_open:
-            hi *= 2.0
-    if divergence_check:
-        raise MomentDivergence("integrand tail does not decay within probe range")
-    raise QuadratureError("could not bracket the integrand support")
+        if not (above[0] or above[-1]):
+            break
+        lo *= 2.0 if above[0] else 1.0
+        hi *= 2.0 if above[-1] else 1.0
+    else:
+        raise QuadratureError("could not bracket the integrand support")
+    for _ in range(4):
+        idx = np.flatnonzero(gs > gmax - cut_nats)
+        t_lo = ts[max(idx[0] - 1, 0)]
+        t_hi = ts[min(idx[-1] + 1, len(ts) - 1)]
+        if len(idx) >= 16:
+            break
+        ts = np.linspace(t_lo, t_hi, 2801)
+        gs = gfun(ts)
+        gmax = np.max(gs)
+    return t_lo, t_hi, gmax
 
 
 def _gl_panel(gfun, gmax, lo, hi):
@@ -134,7 +141,7 @@ def _gl_panel(gfun, gmax, lo, hi):
     return half * float(np.dot(_GL_WEIGHTS, vals))
 
 
-def _adaptive_log_integral(gfun, t_lo, t_hi, gmax, params, divergence_check=False):
+def _adaptive_log_integral(gfun, t_lo, t_hi, gmax, params):
     """log of integral of exp(g(t)) dt over [t_lo, t_hi], scaled stably.
 
     The pass is seeded with panels of bounded width: a narrow interior
@@ -171,10 +178,60 @@ def _adaptive_log_integral(gfun, t_lo, t_hi, gmax, params, divergence_check=Fals
     return float(np.log(total) + gmax)
 
 
-def _log_integral(obs_set, c, extra_logs, params, divergence_check=False):
-    gfun = lambda t: _log_weight(obs_set, c, extra_logs, t)
-    t_lo, t_hi, gmax = _bracket(gfun, params.tail_cut_nats, divergence_check)
-    return _adaptive_log_integral(gfun, t_lo, t_hi, gmax, params, divergence_check)
+def _grid_stats(obs_set, gfun, gmax, t_lo, t_hi, width, m):
+    """Integral of exp(g - gmax), and the first m moments and covariance
+    of the normalized weight, on panels of at most the given width."""
+    n = int(np.ceil((t_hi - t_lo) / width))
+    half = 0.5 * (t_hi - t_lo) / n
+    tt = (t_lo + half * (2 * np.arange(n) + 1))[:, None] + half * _GL_NODES
+    w = (half * _GL_WEIGHTS * np.exp(gfun(tt) - gmax)).ravel()
+    z = float(np.sum(w))
+    x = np.exp(tt.ravel())
+    phi = np.array([obs_set.items[i].eval(x) for i in range(m)]).reshape(m, x.size)
+    w = w / z
+    mom = phi @ w
+    dev = phi - mom[:, None]
+    cov = (dev * w) @ dev.T
+    return z, mom, 0.5 * (cov + cov.T)
+
+
+def _grids_agree(coarse, fine, rel_tol):
+    (z0, m0, c0), (z1, m1, c1) = coarse, fine
+    sd = np.sqrt(np.abs(np.diag(c1)))
+    return bool(
+        abs(z1 - z0) <= rel_tol * z1
+        and np.all(np.abs(m1 - m0) <= rel_tol * np.abs(m1))
+        and np.all(np.abs(c1 - c0) <= rel_tol * np.outer(sd, sd))
+    )
+
+
+def _tilt_stats(obs_set, c, m, params):
+    """log of the integral of exp(c . phi) dx, the first m moments and
+    their m-by-m covariance under the normalized density.
+
+    One bracket (10 nats beyond the tail cut) and one composite 15-node
+    Gauss-Legendre grid in t serve every statistic; the covariance is
+    summed from centred deviations.  The panel width starts at
+    min(0.05, bracket / 16), so a narrow peak gets as many panels as a
+    wide one, and is halved until the grid agrees with the grid of twice
+    its width to rel_tol, or to the rounding error eps * sum |c_i phi_i|
+    of the log-weight at t_hi where that is larger.
+    """
+    gfun = lambda t: _log_weight(obs_set, c, t)
+    t_lo, t_hi, gmax = _bracket(gfun, params.tail_cut_nats + 10.0)
+    phi_hi = [ob.eval(np.exp(t_hi)) for ob in obs_set.items]
+    tol = max(params.rel_tol, np.finfo(float).eps * np.dot(np.abs(c), phi_hi))
+    width = min(0.05, (t_hi - t_lo) / 16.0)
+    coarse = _grid_stats(obs_set, gfun, gmax, t_lo, t_hi, 2.0 * width, m)
+    for _ in range(_GRID_HALVINGS + 1):
+        fine = _grid_stats(obs_set, gfun, gmax, t_lo, t_hi, width, m)
+        if _grids_agree(coarse, fine, tol):
+            z, mom, cov = fine
+            return float(np.log(z) + gmax), mom, cov
+        coarse, width = fine, 0.5 * width
+    raise QuadratureError(
+        "tilt statistics missed rel_tol after %d grid halvings" % _GRID_HALVINGS
+    )
 
 
 @functools.lru_cache(maxsize=256)
@@ -183,10 +240,12 @@ def _log_base_norm(obs_set, rel_tol):
     params = QuadratureParams(rel_tol=rel_tol)
     c = np.zeros(obs_set.k)
     c[0] = -1.0
-    return _log_integral(obs_set, tuple(c), (), params)
+    return _tilt_stats(obs_set, c, 0, params)[0]
 
 
-def _coeffs(obs_set, p):
+def _checked_coefficients(obs_set, p):
+    if not in_domain(obs_set, p):
+        raise DomainError("tilt %s outside the domain" % (list(p),))
     return lebesgue_coefficients(obs_set, p)
 
 
@@ -197,50 +256,23 @@ def log_partition(obs_set, p, params=None):
     evaluates the numerator and the base normalizer.
     """
     params = params or _DEFAULT_PARAMS
-    if not in_domain(obs_set, p):
-        raise DomainError("tilt %s outside the domain" % (list(p),))
-    c = _coeffs(obs_set, p)
-    log_num = _log_integral(obs_set, c, (), params)
+    c = _checked_coefficients(obs_set, p)
+    log_num = _tilt_stats(obs_set, c, 0, params)[0]
     return log_num - _log_base_norm(obs_set, params.rel_tol)
 
 
 def moments(obs_set, p, params=None):
     """First moments E[phi_i] under the tilted density at p."""
     params = params or _DEFAULT_PARAMS
-    if not in_domain(obs_set, p):
-        raise DomainError("tilt %s outside the domain" % (list(p),))
-    c = _coeffs(obs_set, p)
-    log_den = _log_integral(obs_set, c, (), params)
-    out = np.empty(obs_set.k)
-    for i in range(obs_set.k):
-        log_num = _log_integral(obs_set, c, (i,), params, divergence_check=True)
-        out[i] = np.exp(log_num - log_den)
-    return out
+    c = _checked_coefficients(obs_set, p)
+    return _tilt_stats(obs_set, c, obs_set.k, params)[1]
 
 
 def covariance(obs_set, p, params=None):
     """Centered covariance matrix of (phi_1, ..., phi_k) under the tilt."""
     params = params or _DEFAULT_PARAMS
-    if not in_domain(obs_set, p):
-        raise DomainError("tilt %s outside the domain" % (list(p),))
-    c = _coeffs(obs_set, p)
-    log_den = _log_integral(obs_set, c, (), params)
-    k = obs_set.k
-    m = np.empty(k)
-    for i in range(k):
-        m[i] = np.exp(
-            _log_integral(obs_set, c, (i,), params, divergence_check=True) - log_den
-        )
-    second = np.empty((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            val = np.exp(
-                _log_integral(obs_set, c, (i, j), params, divergence_check=True)
-                - log_den
-            )
-            second[i, j] = second[j, i] = val
-    cov = second - np.outer(m, m)
-    return 0.5 * (cov + cov.T)
+    c = _checked_coefficients(obs_set, p)
+    return _tilt_stats(obs_set, c, obs_set.k, params)[2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,18 +297,16 @@ class TiltedDensity:
 def tilted_density(obs_set, p, params=None):
     """Construct a normalized TiltedDensity, warming its CDF cache."""
     params = params or _DEFAULT_PARAMS
-    if not in_domain(obs_set, p):
-        raise DomainError("tilt %s outside the domain" % (list(p),))
-    c = _coeffs(obs_set, p)
-    log_norm = _log_integral(obs_set, c, (), params)
+    c = _checked_coefficients(obs_set, p)
+    log_norm = _tilt_stats(obs_set, c, 0, params)[0]
     d = TiltedDensity(set=obs_set, p=tuple(float(v) for v in p), log_norm=log_norm)
     _warm_cdf_cache(d, params)
     return d
 
 
 def _warm_cdf_cache(d, params):
-    c = _coeffs(d.set, d.p)
-    gfun = lambda t: _log_weight(d.set, c, (), t)
+    c = lebesgue_coefficients(d.set, d.p)
+    gfun = lambda t: _log_weight(d.set, c, t)
     t_lo, t_hi, gmax = _bracket(gfun, params.tail_cut_nats + 20.0)
     edges = np.linspace(t_lo, t_hi, params.cdf_panels + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
@@ -311,7 +341,7 @@ def _cdf_t(d, tvals):
     mid = 0.5 * (lo + t)
     half = 0.5 * (t - lo)
     tt = mid[..., None] + half[..., None] * _GL_NODES
-    gfun = lambda z: _log_weight(d.set, c, (), z)
+    gfun = lambda z: _log_weight(d.set, c, z)
     vals = np.exp(gfun(tt) - gmax)
     partial = half * (vals @ _GL_WEIGHTS)
     out = (cum[idx] + partial) / total
@@ -374,10 +404,8 @@ def log_prob_interval(d, a, b, params=None):
     params = params or _DEFAULT_PARAMS
     if not (0.0 <= a < b):
         raise ArgumentError("need 0 <= a < b")
-    c = d._cache.get("c")
-    if c is None:
-        c = d.lebesgue_coeffs
-    gfun = lambda t: _log_weight(d.set, c, (), t)
+    c = d.lebesgue_coeffs
+    gfun = lambda t: _log_weight(d.set, c, t)
     t_lo = np.log(a) if a > 0 else -80.0
     t_hi = np.log(b) if np.isfinite(b) else 80.0
     ts = np.linspace(t_lo, t_hi, 2001)

@@ -74,8 +74,7 @@ def rate_I(obs_set, v, params=None):
     except Infeasible:
         pass
 
-    boundary_tol = 1e-9 * (1.0 + abs(v[k - 1]))
-    if reduced is not None and v[k - 1] >= reduced.achieved[k - 1] - boundary_tol:
+    if reduced is not None and dual._above_g2(v[k - 1], reduced.achieved[k - 1]):
         # constancy region: the sup is attained with zero last tilt and
         # the v_k coordinate carries no weight
         p = np.asarray(reduced.p)
@@ -163,7 +162,7 @@ def rate_scan(obs_set, prefix, z_grid, params=None):
 
     out = []
     for z in z_grid:
-        if reduced is not None and z >= g2v:
+        if reduced is not None and dual._above_g2(z, g2v):
             p = np.asarray(reduced.p)
             value = _clip(
                 float(

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from microshell import dual_solver as dual
 from microshell import observables as obs
@@ -93,6 +94,24 @@ class TestPhaseFunctions:
         v1 = 1.3
         assert dual.g1(S12, (v1,)) < dual.g2(S12, (v1,))
 
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.floats(min_value=0.5, max_value=2.5),
+        st.floats(min_value=0.1, max_value=3.0),
+        st.floats(min_value=0.25, max_value=4.0),
+    )
+    def test_g2_power_pair_closed_form(self, e1, gap, v1):
+        # the reduced law of (x^e1, x^e2) is generalized gamma:
+        # g2 = Gamma((e2+1)/e1) / Gamma(1/e1) (e1 v1)^(e2/e1)
+        e2 = e1 + gap
+        expected = math.exp(
+            math.lgamma((e2 + 1.0) / e1) - math.lgamma(1.0 / e1)
+            + (e2 / e1) * math.log(e1 * v1)
+        )
+        assert dual.g2(obs.power_set([e1, e2]), (v1,)) == pytest.approx(
+            expected, rel=1e-6
+        )
+
 
 class TestClassify:
     def test_extraneous(self):
@@ -119,6 +138,22 @@ class TestClassify:
     def test_boundary_value_is_extraneous(self):
         rep = dual.classify(S12, (1.0, 2.0))
         assert rep.regime == "EXTRANEOUS"
+
+    @pytest.mark.parametrize("targets", [(1.0, 2.0), (2.0, 8.0)])
+    def test_exact_tie_with_g2_is_extraneous(self, targets):
+        # a_k = g2 = 2 v1^2 exactly; the computed g2 may land a few ulps
+        # on either side of it, and the tie goes to the flat region
+        rep = dual.classify(S12, targets)
+        assert rep.regime == "EXTRANEOUS"
+        assert rep.g2 == pytest.approx(targets[1], rel=1e-12)
+
+    def test_newton_trial_through_narrow_tall_peak(self):
+        # the full solve's line search tries a tilt whose log-weight
+        # peaks far inside one step of the quadrature's bracket scan
+        targets = (0.7083823575678869, 1.4257909301132443, 3.2501289917012626)
+        rep = dual.classify(S123, targets)
+        assert rep.regime == "FULL_TILT_S2"
+        assert np.allclose(rep.full.achieved, targets, atol=1e-8)
 
     def test_k1_always_binds(self):
         rep = dual.classify(S2, (2.0,))

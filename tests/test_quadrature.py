@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from microshell import observables as obs
 from microshell import quadrature as quad
-from microshell.errors import DomainError
+from microshell.errors import DomainError, QuadratureError
 
 S12 = obs.power_set([1, 2])
 S123 = obs.power_set([1, 2, 3])
@@ -164,3 +164,84 @@ class TestTiltedDensity:
     def test_lebesgue_coefficients(self):
         d = quad.tilted_density(S12, [0.25, -0.5])
         assert tuple(d.lebesgue_coeffs) == pytest.approx((-0.75, -0.5))
+
+
+def _gamma_moment(e1, v1, s):
+    # E[x^s] under the density prop. to exp(-x^e1 / (e1 v1)), whose
+    # mean of x^e1 is v1: x^e1 is Gamma(1/e1) with scale e1 v1
+    return math.exp(
+        math.lgamma((s + 1.0) / e1) - math.lgamma(1.0 / e1)
+        + (s / e1) * math.log(e1 * v1)
+    )
+
+
+_E1 = st.floats(min_value=0.5, max_value=2.5)
+_GAP = st.floats(min_value=0.1, max_value=3.0)
+_V1 = st.floats(min_value=0.25, max_value=4.0)
+
+
+class TestPowerPairClosedForms:
+    """phi = (x^e1, x^e2) with zero last tilt is a generalized gamma law;
+    its moments and log-partition function are Gamma-function ratios."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(_E1, _GAP, _V1)
+    def test_moments(self, e1, gap, v1):
+        e2 = e1 + gap
+        s = obs.power_set([e1, e2])
+        p1 = 1.0 - 1.0 / (e1 * v1)
+        m = quad.moments(s, [p1, 0.0])
+        assert m[0] == pytest.approx(v1, rel=1e-8)
+        assert m[1] == pytest.approx(_gamma_moment(e1, v1, e2), rel=1e-8)
+
+    @settings(max_examples=25, deadline=None)
+    @given(_E1, _GAP, st.floats(min_value=-3.0, max_value=0.95))
+    def test_log_partition(self, e1, gap, p1):
+        s = obs.power_set([e1, e1 + gap])
+        assert quad.log_partition(s, [p1, 0.0]) == pytest.approx(
+            -math.log(1.0 - p1) / e1, abs=1e-8
+        )
+
+
+class TestTiltStatsKernel:
+    # S123 tilt whose log-weight lies within 60 nats of its maximum only
+    # on t in [4.30, 4.55]: a narrow peak that a fixed panel width of
+    # 0.05-0.1 in t resolves with only a few panels
+    NARROW = (-2.602869290936322, 0.9870855069089283, -0.0075811724691365575)
+
+    def test_narrow_peak_log_partition(self):
+        # reference: the adaptive bisection rule
+        assert quad.log_partition(S123, self.NARROW) == pytest.approx(
+            2170.2660679552873, rel=1e-10
+        )
+
+    def test_narrow_peak_moments(self):
+        # reference: scipy QUADPACK
+        assert np.allclose(
+            quad.moments(S123, self.NARROW),
+            [84.93002991630799, 7213.639431122993, 612744.5382679706],
+            rtol=1e-8,
+            atol=0.0,
+        )
+
+    def test_peak_narrower_than_scan_step(self):
+        # a Newton trial tilt whose log-weight peaks at 1.5e7 nats with
+        # width 1.06e-4 in t, far inside one step of the bracket scan;
+        # reference: mpmath quad at 40 digits around the located peak
+        p = (-2.811038655997465, 1.0588915929298217, -0.00010870242245349106)
+        assert quad.log_partition(S123, p) == pytest.approx(
+            14861058.126509577, rel=1e-13
+        )
+
+    def test_nonsmooth_integrand_raises_after_fixed_halvings(self):
+        # a jump in phi at x = 1.3 makes every Gauss-Legendre grid
+        # converge only linearly in the panel width, so refinement stops
+        # short of rel_tol and the kernel raises
+        step = obs.Observable(
+            eval=lambda x: x + (np.asarray(x) > 1.3),
+            deriv=lambda x: np.ones_like(x),
+            label="x + step",
+        )
+        s = obs.ObservableSet(k=1, items=(step,), family_tag="CUSTOM")
+        with pytest.raises(QuadratureError, match="halvings"):
+            quad.moments(s, [0.0])

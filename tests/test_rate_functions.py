@@ -107,6 +107,26 @@ class TestEntropy:
         assert lhs == pytest.approx(rhs, abs=1e-8)
 
 
+class TestPhaseBoundaryTie:
+    """v_k = g2 = 2 v1^2 exactly: rate_I, rate_scan and classify all put
+    the tie in the flat region, with the reduced tilt as maximizer."""
+
+    @pytest.mark.parametrize("v", [(1.0, 2.0), (2.0, 8.0)])
+    def test_rate_I_takes_reduced_tilt(self, v):
+        reduced = dual.solve_reduced(S12, v[:1])
+        ev = rf.rate_I(S12, v)
+        assert ev.maximizer_p == reduced.p
+        assert dual.classify(S12, v).regime == "EXTRANEOUS"
+
+    @pytest.mark.parametrize("v", [(1.0, 2.0), (2.0, 8.0)])
+    def test_rate_scan_takes_reduced_tilt(self, v):
+        reduced = dual.solve_reduced(S12, v[:1])
+        evals = rf.rate_scan(S12, v[:1], [0.9 * v[1], v[1], 1.1 * v[1]])
+        assert evals[1].maximizer_p == reduced.p
+        assert evals[1].value == evals[2].value
+        assert evals[1].value == rf.rate_I(S12, v).value
+
+
 class TestRateScan:
     def test_shape_and_flat_tail(self):
         zs = np.linspace(1.2, 4.0, 15)
