@@ -21,8 +21,9 @@ S12 = obs.power_set([1, 2])
 
 def main():
     print(f"{'z':>6} {'I(1, z)':>12} {'maximizer p':>28}")
-    for z in np.arange(0.6, 3.61, 0.2):
-        ev = rf.rate_I(S12, (1.0, float(z)))
+    zs = np.arange(0.6, 3.61, 0.2)
+    # one scan solves the prefix's reduced problem once for the whole grid
+    for z, ev in zip(zs, rf.rate_scan(S12, (1.0,), zs)):
         if ev.maximizer_p == rf.BOUNDARY:
             tag = "(below admissibility floor)"
         else:

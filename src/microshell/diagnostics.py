@@ -16,6 +16,7 @@ import numpy as np
 
 from . import quadrature as quad
 from .errors import ArgumentError
+from .sampler import DensityTable
 
 __all__ = [
     "MaxStats",
@@ -62,10 +63,14 @@ class AppendixReport:
 
 
 def _reference_cdf(reference, xs):
-    if hasattr(reference, "pdf") and hasattr(reference, "widths"):
-        # tabulated density: piecewise-linear CDF over the grid
+    if isinstance(reference, DensityTable):
+        # tabulated density: cdf[i] is the mass up to cell i's right edge;
+        # a cell centre x is the geometric mean of its edges, so that edge
+        # is (w + sqrt(w^2 + 4 x^2)) / 2 for cell width w
+        x, w = reference.x, reference.widths
+        right = 0.5 * (w + np.sqrt(w * w + 4.0 * x * x))
+        grid_x = np.concatenate([[right[0] - w[0]], right])
         grid_cdf = np.concatenate([[0.0], reference.cdf])
-        grid_x = np.concatenate([[reference.x[0] - reference.widths[0]], reference.x])
         return np.interp(xs, grid_x, grid_cdf, left=0.0, right=1.0)
     return quad.cdf(reference, xs)
 

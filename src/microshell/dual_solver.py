@@ -7,18 +7,24 @@ constraints (the trailing free coordinate must stay strictly below its
 bound) are enforced by capping the line search so the gap can at most
 halve per step.
 
-Regimes:
+Regimes, decided by classify alone (the rate functions read their
+values off its report):
   EXTRANEOUS   - the reduced problem (last tilt zero) matches the first
                  k-1 moments and the target a_k is at least the reduced
-                 k-th moment g2; the last constraint does not tilt the
-                 limit marginal and its surplus localizes.
+                 k-th moment g2 (or below it by less than the full solve
+                 resolves, so that its tilt drifts onto p_k = 0); the last
+                 constraint does not tilt the limit marginal and its
+                 surplus localizes.
   INTERIOR_S1  - a_k below g2; a full tilt with p_k < 0 matches all k.
-  FULL_TILT_S2 - the reduced problem is infeasible but a full tilt exists.
+  FULL_TILT_S2 - the reduced problem is infeasible (or k = 1) but a full
+                 tilt exists.
   INADMISSIBLE - a_k at or below the floor g1, or no tilt of any kind.
+ClassificationInconclusive is raised only when a solve stalls.
 """
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -98,7 +104,7 @@ def _above_g2(a_k, g2v):
     return a_k >= g2v - 1e-9 * (1.0 + abs(a_k))
 
 
-def _match_prefix(obs_set, targets_m, params, init=None):
+def _match_prefix(obs_set, targets_m, params):
     """Match the first m moments with tilt (p_1, ..., p_m, 0, ..., 0).
 
     The trailing free coordinate p_m must stay strictly below its bound
@@ -118,12 +124,7 @@ def _match_prefix(obs_set, targets_m, params, init=None):
     targets_m = np.asarray(targets_m, dtype=float)
     bound = 0.0 if m >= 2 else 1.0
     u = np.zeros(m)  # u[:m-1] = p[:m-1]; u[m-1] = log(bound - p_m)
-    if init is not None:
-        init = np.asarray(init, dtype=float)
-        u[: m - 1] = init[: m - 1]
-        u[m - 1] = math.log(max(bound - init[m - 1], 1e-12))
-    else:
-        u[m - 1] = math.log(1e-2) if m >= 2 else 0.0
+    u[m - 1] = math.log(1e-2) if m >= 2 else 0.0
 
     def to_p(uvec):
         p = np.zeros(k)
@@ -292,6 +293,8 @@ def g2(obs_set, targets, params=None):
 
 
 def g1_closed_form_available(obs_set):
+    """Whether g1 has a closed form for this set: POWERS with k = 2, or
+    with exponents (1, 2, 3).  classify checks the floor only then."""
     if obs_set.family_tag != "POWERS":
         return False
     e = obs_set.exponents
@@ -303,152 +306,99 @@ def g1(obs_set, targets, params=None):
 
     Closed forms for the POWERS family with k = 2 (Jensen floor
     v_1^(e_2/e_1)) and exponents (1,2,3) (two-point-mass floor
-    v_2^2 / v_1).  Otherwise a numerical lower-envelope approximation:
-    the k-th tilt is pinned at -t for increasing t and the decreasing
-    k-th moments are extrapolated; flagged approximate via
-    g1_closed_form_available().
+    v_2^2 / v_1).  Raises ArgumentError for any other set
+    (g1_closed_form_available() is False there).
     """
-    params = params or quad._DEFAULT_PARAMS
     targets = np.asarray(targets, dtype=float)
     k = obs_set.k
     if targets.shape != (k - 1,):
         raise ArgumentError("g1 takes the first k-1 targets")
-    if obs_set.family_tag == "POWERS":
-        e = obs_set.exponents
-        if k == 2:
-            return float(targets[0] ** (e[1] / e[0]))
-        if k == 3 and e == (1.0, 2.0, 3.0):
-            return float(targets[1] ** 2 / targets[0])
-    # generic approximation: pin p_k = -t, match the first k-1 moments
-    vals = []
-    ts = (1.0, 10.0, 100.0, 1000.0)
-    for t in ts:
-        vals.append(_pinned_last_moment(obs_set, targets, t, params))
-    # Aitken extrapolation of the tail of the decreasing sequence
-    e0, e1_, e2_ = vals[-3], vals[-2], vals[-1]
-    denom = (e2_ - e1_) - (e1_ - e0)
-    if abs(denom) > 1e-14:
-        extrap = e2_ - (e2_ - e1_) ** 2 / denom
-        if np.isfinite(extrap) and extrap <= e2_:
-            return float(extrap)
-    return float(e2_)
+    if not g1_closed_form_available(obs_set):
+        raise ArgumentError("no closed-form floor g1 for this observable set")
+    e = obs_set.exponents
+    if k == 2:
+        return float(targets[0] ** (e[1] / e[0]))
+    return float(targets[1] ** 2 / targets[0])
 
 
-def _pinned_last_moment(obs_set, targets, t, params):
-    """E[phi_k] with p_k fixed at -t and the first k-1 moments matched."""
-    m = obs_set.k - 1
+class _PrefixPhase:
+    """The part of classify that does not depend on a_k: the floor g1,
+    the admissibility of the prefix and the reduced solve.  The reduced
+    solve runs on first need, so targets at or below the floor never pay
+    for it; report(a_k) then costs at most one full solve."""
 
-    def f(q):
-        h, mom, cov = _stats(obs_set, np.append(q, -t), params)
-        return h - float(np.dot(q, targets)), mom, cov
+    def __init__(self, obs_set, prefix, params):
+        self.obs_set = obs_set
+        self.prefix = np.asarray(prefix, dtype=float)
+        self.params = params
+        k = obs_set.k
+        self.admissible = True
+        self.g1 = None
+        if k == 1:
+            # single constraint: the floor is phi_1 at 0+
+            self.g1 = float(obs_set.items[0].eval(1e-12))
+        elif g1_closed_form_available(obs_set):
+            # prefix admissibility for the (1,2,3) family: v2 > v1^2
+            self.admissible = k == 2 or self.prefix[1] > self.prefix[0] ** 2
+            self.g1 = g1(obs_set, self.prefix, params)
 
-    q = np.zeros(m)
-    f_cur, mom, cov = f(q)
-    for _ in range(_MAX_ITER):
-        grad = mom[:m] - targets
-        if float(np.max(np.abs(grad))) <= _MOMENT_TOL:
-            break
+    @functools.cached_property
+    def reduced(self):
+        """The reduced solution, or None when the prefix has none (k = 1,
+        or an S2 or inadmissible prefix)."""
+        if self.obs_set.k == 1:
+            return None
         try:
-            d = np.linalg.solve(cov[:m, :m], -grad)
-        except np.linalg.LinAlgError:
-            d = np.linalg.solve(cov[:m, :m] + 1e-12 * np.eye(m), -grad)
-        dmax = float(np.max(np.abs(d)))
-        if dmax > _MAX_STEP:
-            d *= _MAX_STEP / dmax
-        alpha, gTd = 1.0, float(np.dot(grad, d))
-        for _ in range(50):
-            trial = q + alpha * d
-            f_new, mom_new, cov_new = f(trial)
-            if f_new <= f_cur + 1e-4 * alpha * gTd + 1e-14:
-                q, f_cur, mom, cov = trial, f_new, mom_new, cov_new
-                break
-            alpha *= 0.5
-    return float(mom[m])
+            return solve_reduced(self.obs_set, self.prefix, self.params)
+        except Infeasible:
+            return None
+        except SolverStall as exc:
+            raise ClassificationInconclusive(
+                "reduced solve stalled", reduced=exc.best
+            ) from exc
+
+    def report(self, a_k):
+        if not self.admissible:
+            return PhaseReport(
+                regime="INADMISSIBLE", notes=("prefix outside admissible set",)
+            )
+        g1v = self.g1
+        if g1v is not None and a_k <= g1v:
+            return PhaseReport(regime="INADMISSIBLE", g1=g1v)
+        reduced = self.reduced
+        g2v = None if reduced is None else float(reduced.achieved[-1])
+        known = dict(g1=g1v, g2=g2v, reduced=reduced)
+        if reduced is not None and _above_g2(a_k, g2v):
+            return PhaseReport(regime="EXTRANEOUS", **known)
+        try:
+            full = solve_full(self.obs_set, np.append(self.prefix, a_k), self.params)
+        except SolverStall as exc:
+            raise ClassificationInconclusive(
+                "full solve stalled", reduced=reduced, full=exc.best
+            ) from exc
+        except (NoFullTilt, Infeasible) as exc:
+            if reduced is None:
+                note = "no tilt of any kind: %s" % exc
+            elif isinstance(exc, NoFullTilt):
+                # a_k below g2 by less than the solve resolves: the full
+                # tilt drifts onto p_k = 0, which is the reduced solution
+                note = "a_k below g2 but no interior tilt found"
+                return PhaseReport(regime="EXTRANEOUS", notes=(note,), **known)
+            else:
+                note = "a_k below the reachable floor"
+            return PhaseReport(regime="INADMISSIBLE", notes=(note,), **known)
+        regime = "FULL_TILT_S2" if reduced is None else "INTERIOR_S1"
+        notes = ("k=1: constraint always binds",) if self.obs_set.k == 1 else ()
+        return PhaseReport(regime=regime, full=full, notes=notes, **known)
 
 
 def classify(obs_set, targets, params=None):
     """Four-way phase classification of a target moment vector."""
     params = params or quad._DEFAULT_PARAMS
-    k = obs_set.k
     targets = np.asarray(targets, dtype=float)
-    if targets.shape != (k,) or np.any(targets <= 0):
+    if targets.shape != (obs_set.k,) or np.any(targets <= 0):
         raise ArgumentError("need k positive targets")
-    notes = []
-
-    if k == 1:
-        # single constraint: no reduced problem exists, the constraint
-        # always binds and no surplus can be shed, mirroring the
-        # full-tilt regime
-        floor = float(obs_set.items[0].eval(1e-12))
-        if targets[0] <= floor:
-            return PhaseReport(regime="INADMISSIBLE", g1=floor)
-        try:
-            full = solve_full(obs_set, targets, params)
-        except (Infeasible, NoFullTilt) as exc:
-            return PhaseReport(regime="INADMISSIBLE", g1=floor, notes=(str(exc),))
-        return PhaseReport(
-            regime="FULL_TILT_S2",
-            g1=floor,
-            full=full,
-            notes=("k=1: constraint always binds",),
-        )
-
-    prefix = targets[: k - 1]
-    g1v = None
-    if g1_closed_form_available(obs_set):
-        # prefix admissibility for the (1,2,3) family: v2 > v1^2
-        if obs_set.k == 3 and prefix[1] <= prefix[0] ** 2:
-            return PhaseReport(
-                regime="INADMISSIBLE", notes=("prefix outside admissible set",)
-            )
-        g1v = g1(obs_set, prefix, params)
-        if targets[k - 1] <= g1v:
-            return PhaseReport(regime="INADMISSIBLE", g1=g1v)
-
-    reduced = None
-    try:
-        reduced = solve_reduced(obs_set, prefix, params)
-    except Infeasible:
-        pass
-    except SolverStall as exc:
-        raise ClassificationInconclusive(
-            "reduced solve stalled", reduced=exc.best
-        ) from exc
-
-    if reduced is not None:
-        g2v = float(reduced.achieved[k - 1])
-        if _above_g2(targets[k - 1], g2v):
-            return PhaseReport(
-                regime="EXTRANEOUS", g1=g1v, g2=g2v, reduced=reduced
-            )
-        try:
-            full = solve_full(obs_set, targets, params)
-        except NoFullTilt as exc:
-            raise ClassificationInconclusive(
-                "a_k below g2 but no interior tilt found", reduced=reduced
-            ) from exc
-        except Infeasible:
-            return PhaseReport(
-                regime="INADMISSIBLE",
-                g1=g1v,
-                g2=g2v,
-                reduced=reduced,
-                notes=("a_k below the reachable floor",),
-            )
-        return PhaseReport(
-            regime="INTERIOR_S1", g1=g1v, g2=g2v, reduced=reduced, full=full
-        )
-
-    # reduced infeasible: S2 prefix (or inadmissible)
-    try:
-        full = solve_full(obs_set, targets, params)
-    except (NoFullTilt, Infeasible) as exc:
-        return PhaseReport(
-            regime="INADMISSIBLE", g1=g1v, notes=("no tilt of any kind: %s" % exc,)
-        )
-    except SolverStall as exc:
-        raise ClassificationInconclusive("full solve stalled", full=exc.best) from exc
-    return PhaseReport(regime="FULL_TILT_S2", g1=g1v, full=full)
+    return _PrefixPhase(obs_set, targets[:-1], params).report(targets[-1])
 
 
 def limiting_marginal(obs_set, targets, params=None, report=None):

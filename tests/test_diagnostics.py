@@ -64,6 +64,18 @@ class TestKSDistance:
         )
         assert diag.ks_distance(batch.states.ravel(), table) <= 0.05
 
+    def test_density_table_cdf_at_right_cell_edges(self):
+        # table.cdf[i] is the mass up to cell i's right edge; the cell
+        # centres are geometric means of their edges
+        spec = smp.ShellSpec(set=S12, n=2, delta=0.15, a=(1.0, 1.6))
+        table = smp.brute_force_conditional(spec, grid_points=500)
+        w = table.widths
+        right = 0.5 * (w + np.sqrt(w * w + 4.0 * table.x ** 2))
+        assert np.allclose(np.sqrt((right - w) * right), table.x, rtol=1e-12)
+        ref = diag._reference_cdf(table, right)
+        assert np.allclose(ref, table.cdf, rtol=0.0, atol=1e-12)
+        assert diag._reference_cdf(table, right[0] - w[0]) == 0.0
+
 
 class TestMaxStats:
     def test_direct_evaluation(self):

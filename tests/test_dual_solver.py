@@ -7,7 +7,13 @@ from hypothesis import given, settings, strategies as st
 from microshell import dual_solver as dual
 from microshell import observables as obs
 from microshell import quadrature as quad
-from microshell.errors import ArgumentError, Infeasible, NoFullTilt
+from microshell.errors import (
+    ArgumentError,
+    ClassificationInconclusive,
+    Infeasible,
+    NoFullTilt,
+    SolverStall,
+)
 
 S12 = obs.power_set([1, 2])
 S123 = obs.power_set([1, 2, 3])
@@ -90,6 +96,15 @@ class TestPhaseFunctions:
         s = obs.power_set([1, 1.5])
         assert dual.g1(s, (2.0,)) == pytest.approx(2.0 ** 1.5, rel=1e-3)
 
+    @pytest.mark.parametrize(
+        "exponents, prefix", [([1, 2, 4], (1.0, 1.2)), ([1, 2, 2.5], (1.0, 3.0))]
+    )
+    def test_g1_without_closed_form_raises(self, exponents, prefix):
+        s = obs.power_set(exponents)
+        assert not dual.g1_closed_form_available(s)
+        with pytest.raises(ArgumentError):
+            dual.g1(s, prefix)
+
     def test_g1_below_g2(self):
         v1 = 1.3
         assert dual.g1(S12, (v1,)) < dual.g2(S12, (v1,))
@@ -146,6 +161,25 @@ class TestClassify:
         rep = dual.classify(S12, targets)
         assert rep.regime == "EXTRANEOUS"
         assert rep.g2 == pytest.approx(targets[1], rel=1e-12)
+
+    def test_just_below_g2_without_interior_tilt_is_extraneous(self):
+        # a_k a relative 3e-9 below g2 = 8: the full solve drifts onto
+        # p_k = 0, and the reduced solution is the answer
+        rep = dual.classify(S12, (2.0, 8.0 * (1.0 - 3e-9)))
+        assert rep.regime == "EXTRANEOUS"
+        assert rep.notes
+        assert rep.reduced.p[1] == 0.0
+        assert rep.g2 == pytest.approx(8.0, rel=1e-12)
+
+    def test_full_solve_stall_is_inconclusive(self, monkeypatch):
+        def stall(*args, **kwargs):
+            raise SolverStall("no convergence", best="partial")
+
+        monkeypatch.setattr(dual, "solve_full", stall)
+        with pytest.raises(ClassificationInconclusive) as info:
+            dual.classify(S12, (1.0, 1.5))
+        assert info.value.full == "partial"
+        assert info.value.reduced.achieved[1] == pytest.approx(2.0, abs=1e-8)
 
     def test_newton_trial_through_narrow_tall_peak(self):
         # the full solve's line search tries a tilt whose log-weight

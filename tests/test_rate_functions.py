@@ -82,6 +82,14 @@ class TestProjectedRate:
     def test_positive_past_boundary(self):
         assert rf.jmax_projected(S12, (1.0, 3.0), 1.5) > 1e-3
 
+    def test_whole_last_coordinate_is_infinite(self):
+        assert rf.jmax_projected(S12, (1.0, 3.0), 3.0) == math.inf
+
+    def test_difference_of_two_rates(self):
+        a, z = (1.0, 1.8), 0.5
+        expected = rf.rate_I(S12, (1.0, 1.3)).value - rf.rate_I(S12, a).value
+        assert rf.jmax_projected(S12, a, z) == pytest.approx(expected, abs=1e-12)
+
 
 class TestEntropy:
     def test_exponential(self):
@@ -127,6 +135,19 @@ class TestPhaseBoundaryTie:
         assert evals[1].value == rf.rate_I(S12, v).value
 
 
+class TestJustBelowPhaseBoundary:
+    # a_k a relative 3e-9 below g2 = 8, where no interior tilt is found
+    v = (2.0, 8.0 * (1.0 - 3e-9))
+
+    def test_rate_I_and_rate_scan_agree_on_flat_value(self):
+        ev = rf.rate_I(S12, self.v)
+        (scan,) = rf.rate_scan(S12, self.v[:1], [self.v[1]])
+        assert ev.value == scan.value
+        assert ev.maximizer_p == scan.maximizer_p
+        assert ev.value == pytest.approx(1.0 - math.log(2.0), abs=1e-6)
+        assert ev.maximizer_p == dual.classify(S12, self.v).reduced.p
+
+
 class TestRateScan:
     def test_shape_and_flat_tail(self):
         zs = np.linspace(1.2, 4.0, 15)
@@ -143,3 +164,25 @@ class TestRateScan:
         evals = rf.rate_scan(S12, (1.0,), np.array([0.5, 3.0]))
         assert evals[0].value == math.inf
         assert evals[0].maximizer_p == rf.BOUNDARY
+
+    @pytest.mark.parametrize(
+        "oset, prefix, zs",
+        [
+            # floor g1 = 1.69, boundary g2 = 3.38
+            (S12, (1.3,), np.linspace(1.0, 5.0, 9)),
+            # floor g1 = v2^2 / v1 = 3.24, boundary g2 above it
+            (S123, (1.0, 1.8), np.linspace(2.5, 9.0, 9)),
+        ],
+    )
+    def test_equals_rate_I_pointwise(self, oset, prefix, zs):
+        evals = rf.rate_scan(oset, prefix, zs)
+        regimes = set()
+        for z, ev in zip(zs, evals):
+            v = prefix + (float(z),)
+            one = rf.rate_I(oset, v)
+            assert ev.v == one.v
+            assert ev.value == one.value
+            assert ev.maximizer_p == one.maximizer_p
+            regimes.add(dual.classify(oset, v).regime)
+        # the grid crosses the floor, the interior and the flat part
+        assert regimes == {"INADMISSIBLE", "INTERIOR_S1", "EXTRANEOUS"}
