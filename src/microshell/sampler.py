@@ -389,6 +389,9 @@ def brute_force_conditional(spec, grid_points=None, x_min=None, x_max=None):
         for i in range(k):
             s = vals[i][:, None] + vals[i][None, :]
             inside &= (s >= lo[i]) & (s <= hi[i])
+            # free the grid-sized sums before the next ones are built:
+            # two of them (72 MB each at 3000 cells) set the peak memory
+            del s
         mass = inside @ widths
     else:
         mass = np.zeros(grid_points)

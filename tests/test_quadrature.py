@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from microshell import observables as obs
 from microshell import quadrature as quad
-from microshell.errors import DomainError, QuadratureError
+from microshell.errors import ArgumentError, DomainError, QuadratureError
 
 S12 = obs.power_set([1, 2])
 S123 = obs.power_set([1, 2, 3])
@@ -201,6 +201,138 @@ class TestPowerPairClosedForms:
         assert quad.log_partition(s, [p1, 0.0]) == pytest.approx(
             -math.log(1.0 - p1) / e1, abs=1e-8
         )
+
+
+def _bisection_quantile(d, u):
+    """Reference inverse: 64 bisection passes over the cached grid's
+    support, comparing the CDF at the midpoint with u."""
+    edges = d._cache["edges"]
+    lo = np.full(np.shape(u), edges[0])
+    hi = np.full(np.shape(u), edges[-1])
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        take_hi = quad._cdf_t(d, mid) < u
+        lo = np.where(take_hi, mid, lo)
+        hi = np.where(take_hi, hi, mid)
+    return np.exp(0.5 * (lo + hi))
+
+
+class TestQuantile:
+    S12_TILT = (0.5, -0.25)
+    S123_TILT = (0.2, 0.1, -0.5)
+    DOCUMENTED_U = np.array([1e-16, 5e-7, 0.5, 1.0 - 5e-7, 1.0 - 2.0**-53])
+
+    @pytest.fixture(scope="class")
+    def densities(self):
+        return [
+            quad.tilted_density(S12, self.S12_TILT),
+            quad.tilted_density(S123, self.S123_TILT),
+            quad.tilted_density(S123, TestTiltStatsKernel.NARROW),
+        ]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_argument_raises(self, densities, bad):
+        d = densities[0]
+        with pytest.raises(ArgumentError, match="finite"):
+            quad.quantile(d, bad)
+        with pytest.raises(ArgumentError, match="finite"):
+            quad.quantile(d, [0.5, bad])
+        with pytest.raises(ArgumentError, match="finite"):
+            quad.cdf(d, bad)
+
+    @pytest.mark.parametrize("u", [0.0, 1.0, -0.1, 1.5])
+    def test_argument_outside_unit_interval_raises(self, densities, u):
+        with pytest.raises(ArgumentError, match="lie in"):
+            quad.quantile(densities[0], u)
+
+    def test_negative_cdf_argument_raises(self, densities):
+        with pytest.raises(ArgumentError, match="nonnegative"):
+            quad.cdf(densities[0], [1.0, -0.5])
+
+    def test_documented_tolerance_in_probability(self, densities):
+        for d in densities:
+            q = quad.quantile(d, self.DOCUMENTED_U)
+            assert np.all(np.isfinite(q)) and np.all(q > 0)
+            assert np.max(np.abs(quad.cdf(d, q) - self.DOCUMENTED_U)) <= 1e-10
+
+    def test_shape_and_scalar(self, densities):
+        d = densities[0]
+        u = np.linspace(0.1, 0.9, 6).reshape(2, 3)
+        q = quad.quantile(d, u)
+        assert q.shape == (2, 3)
+        assert isinstance(quad.quantile(d, 0.25), float)
+        assert np.array_equal(q.ravel(), quad.quantile(d, u.ravel()))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.floats(min_value=-1.0, max_value=0.6),
+        st.lists(
+            st.floats(min_value=1e-20, max_value=1.0 - 1e-12),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    def test_exponential_closed_form(self, p1, us):
+        # tilt (p1, 0) of S12 is the exponential law with rate 1 - p1;
+        # the cached grid starts 80 nats below the peak and so drops
+        # about e^-81 = 7e-36 of the mass: u stays above 1e-20
+        d = quad.tilted_density(S12, (p1, 0.0))
+        u = np.array(us)
+        exact = -np.log1p(-u) / (1.0 - p1)
+        assert np.all(np.abs(quad.quantile(d, u) / exact - 1.0) <= 1e-8)
+
+    def test_exponential_top_of_double_range(self):
+        # u = 1 - 2^-53 is counted from the right as 2^-53 of the mass
+        d = quad.tilted_density(S12, (0.0, 0.0))
+        assert quad.quantile(d, 1.0 - 2.0**-53) == pytest.approx(53 * math.log(2.0), rel=1e-8)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([0, 1, 2]),
+        st.floats(min_value=1e-12, max_value=1.0 - 1e-12),
+        st.lists(st.integers(min_value=-30, max_value=30), min_size=2, max_size=30),
+        st.lists(st.floats(min_value=1e-16, max_value=1.0 - 1e-16), max_size=30),
+    )
+    def test_nondecreasing_in_u(self, densities, which, base, offsets, spread):
+        # neighbours a few floats apart, plus values across (0, 1)
+        u = base + np.array(offsets) * np.spacing(base)
+        u = np.sort(np.concatenate([u[(u > 0.0) & (u < 1.0)], spread]))
+        rng = np.random.default_rng(len(u))
+        perm = rng.permutation(len(u))
+        q = np.empty_like(u)
+        q[perm] = quad.quantile(densities[which], u[perm])
+        assert np.all(np.diff(q) >= 0.0)
+
+    def test_dense_float_neighbours_nondecreasing(self, densities):
+        rng = np.random.default_rng(3)
+        base = rng.random(5000)
+        u = np.sort(np.concatenate([base + k * np.spacing(base) for k in range(-20, 21)]))
+        for d in densities:
+            assert np.all(np.diff(quad.quantile(d, u)) >= 0.0)
+
+    def test_matches_bisection_reference(self, densities):
+        # the 64-pass bisection over the same cache, in probability and,
+        # away from the tails where the CDF near 1 loses digits, in x
+        rng = np.random.default_rng(7)
+        u = np.concatenate([rng.random(2000), [1e-12, 1e-6, 1.0 - 1e-6]])
+        for d in densities:
+            q, ref = quad.quantile(d, u), _bisection_quantile(d, u)
+            assert np.max(np.abs(quad.cdf(d, q) - quad.cdf(d, ref))) <= 1e-10
+            assert np.max(np.abs(q / ref - 1.0)) <= 1e-9
+
+    def test_newton_work_per_point(self, densities, monkeypatch):
+        # a bisection pass costs 15 log-weight evaluations per point and
+        # the 64-pass loop 960; each Newton round costs 16
+        calls = []
+        real = quad._log_weight
+        monkeypatch.setattr(
+            quad, "_log_weight", lambda s, c, t: calls.append(np.size(t)) or real(s, c, t)
+        )
+        u = np.clip(np.random.default_rng(11).random(20000), 1e-16, 1.0 - 1e-16)
+        for d in densities:
+            calls.clear()
+            quad.quantile(d, u)
+            assert sum(calls) / u.size <= 16 * 4
 
 
 class TestTiltStatsKernel:
