@@ -90,12 +90,12 @@ class _AscentDiverged(Exception):
     from below)."""
 
 
-def _stats(obs_set, p, params):
+def _stats(obs_set, p):
     """H(p), the k moments and the k-by-k covariance from one
     tilt-statistics pass."""
     c = quad.lebesgue_coefficients(obs_set, p)
-    log_z, mom, cov = quad._tilt_stats(obs_set, c, obs_set.k, params)
-    return log_z - quad._log_base_norm(obs_set, params.rel_tol), mom, cov
+    log_z, mom, cov = quad._tilt_stats(obs_set, c, obs_set.k)
+    return log_z - quad._log_base_norm(obs_set), mom, cov
 
 
 def _above_g2(a_k, g2v):
@@ -104,7 +104,7 @@ def _above_g2(a_k, g2v):
     return a_k >= g2v - 1e-9 * (1.0 + abs(a_k))
 
 
-def _match_prefix(obs_set, targets_m, params):
+def _match_prefix(obs_set, targets_m):
     """Match the first m moments with tilt (p_1, ..., p_m, 0, ..., 0).
 
     The trailing free coordinate p_m must stay strictly below its bound
@@ -133,7 +133,7 @@ def _match_prefix(obs_set, targets_m, params):
         return p
 
     p = to_p(u)
-    stats = _stats(obs_set, p, params)
+    stats = _stats(obs_set, p)
     f_cur = stats[0] - float(np.dot(p[:m], targets_m))
     drift_count = 0
     resid_hist = []
@@ -173,7 +173,7 @@ def _match_prefix(obs_set, targets_m, params):
         for _ in range(60):
             trial_u = u + alpha * d
             trial_p = to_p(trial_u)
-            trial_stats = _stats(obs_set, trial_p, params)
+            trial_stats = _stats(obs_set, trial_p)
             f_new = trial_stats[0] - float(np.dot(trial_p[:m], targets_m))
             if f_new <= f_cur + 1e-4 * alpha * gTd + 1e-14:
                 u, p, f_cur, stats = trial_u, trial_p, f_new, trial_stats
@@ -218,7 +218,7 @@ def _solution(p, stats, targets, matched, iterations):
     )
 
 
-def solve_reduced(obs_set, targets, params=None):
+def solve_reduced(obs_set, targets):
     """Match the first k-1 moments with zero k-th tilt.
 
     Walks down the lexicographic boundary: first an interior solve with
@@ -228,7 +228,6 @@ def solve_reduced(obs_set, targets, params=None):
     Infeasible when the targets are certifiably unreachable (the prefix
     lies in S2 or outside the admissible set).
     """
-    params = params or quad._DEFAULT_PARAMS
     k = obs_set.k
     if k < 2:
         raise ArgumentError("reduced solve needs k >= 2")
@@ -239,7 +238,7 @@ def solve_reduced(obs_set, targets, params=None):
     best = None
     for level in range(m, 0, -1):
         try:
-            p, iters, stats = _match_prefix(obs_set, targets[:level], params)
+            p, iters, stats = _match_prefix(obs_set, targets[:level])
         except _BoundaryDrift:
             continue
         except _AscentDiverged as exc:
@@ -266,16 +265,15 @@ def solve_reduced(obs_set, targets, params=None):
     raise Infeasible("all boundary faces drifted; prefix lies in S2", best=best)
 
 
-def solve_full(obs_set, targets, params=None):
+def solve_full(obs_set, targets):
     """Match all k moments with an interior tilt (p_k < 0 for k >= 2,
     p_1 < 1 for k == 1)."""
-    params = params or quad._DEFAULT_PARAMS
     k = obs_set.k
     targets = np.asarray(targets, dtype=float)
     if targets.shape != (k,) or np.any(targets <= 0):
         raise ArgumentError("need k positive targets")
     try:
-        p, iters, stats = _match_prefix(obs_set, targets, params)
+        p, iters, stats = _match_prefix(obs_set, targets)
     except _BoundaryDrift as exc:
         raise NoFullTilt(
             "no interior tilt matches all moments (extraneous regime): %s" % exc
@@ -285,10 +283,10 @@ def solve_full(obs_set, targets, params=None):
     return _solution(p, stats, targets, k, iters)
 
 
-def g2(obs_set, targets, params=None):
+def g2(obs_set, targets):
     """k-th moment of the reduced (zero k-th tilt) solution; the phase
     boundary between the interior and extraneous regimes."""
-    sol = solve_reduced(obs_set, targets, params)
+    sol = solve_reduced(obs_set, targets)
     return float(sol.achieved[obs_set.k - 1])
 
 
@@ -301,7 +299,7 @@ def g1_closed_form_available(obs_set):
     return obs_set.k == 2 or (obs_set.k == 3 and e == (1.0, 2.0, 3.0))
 
 
-def g1(obs_set, targets, params=None):
+def g1(obs_set, targets):
     """Floor of the k-th moment compatible with the first k-1 moments.
 
     Closed forms for the POWERS family with k = 2 (Jensen floor
@@ -327,10 +325,9 @@ class _PrefixPhase:
     solve runs on first need, so targets at or below the floor never pay
     for it; report(a_k) then costs at most one full solve."""
 
-    def __init__(self, obs_set, prefix, params):
+    def __init__(self, obs_set, prefix):
         self.obs_set = obs_set
         self.prefix = np.asarray(prefix, dtype=float)
-        self.params = params
         k = obs_set.k
         self.admissible = True
         self.g1 = None
@@ -340,7 +337,7 @@ class _PrefixPhase:
         elif g1_closed_form_available(obs_set):
             # prefix admissibility for the (1,2,3) family: v2 > v1^2
             self.admissible = k == 2 or self.prefix[1] > self.prefix[0] ** 2
-            self.g1 = g1(obs_set, self.prefix, params)
+            self.g1 = g1(obs_set, self.prefix)
 
     @functools.cached_property
     def reduced(self):
@@ -349,7 +346,7 @@ class _PrefixPhase:
         if self.obs_set.k == 1:
             return None
         try:
-            return solve_reduced(self.obs_set, self.prefix, self.params)
+            return solve_reduced(self.obs_set, self.prefix)
         except Infeasible:
             return None
         except SolverStall as exc:
@@ -371,7 +368,7 @@ class _PrefixPhase:
         if reduced is not None and _above_g2(a_k, g2v):
             return PhaseReport(regime="EXTRANEOUS", **known)
         try:
-            full = solve_full(self.obs_set, np.append(self.prefix, a_k), self.params)
+            full = solve_full(self.obs_set, np.append(self.prefix, a_k))
         except SolverStall as exc:
             raise ClassificationInconclusive(
                 "full solve stalled", reduced=reduced, full=exc.best
@@ -392,23 +389,21 @@ class _PrefixPhase:
         return PhaseReport(regime=regime, full=full, notes=notes, **known)
 
 
-def classify(obs_set, targets, params=None):
+def classify(obs_set, targets):
     """Four-way phase classification of a target moment vector."""
-    params = params or quad._DEFAULT_PARAMS
     targets = np.asarray(targets, dtype=float)
     if targets.shape != (obs_set.k,) or np.any(targets <= 0):
         raise ArgumentError("need k positive targets")
-    return _PrefixPhase(obs_set, targets[:-1], params).report(targets[-1])
+    return _PrefixPhase(obs_set, targets[:-1]).report(targets[-1])
 
 
-def limiting_marginal(obs_set, targets, params=None, report=None):
+def limiting_marginal(obs_set, targets, report=None):
     """Limit law of a single coordinate: the reduced density in the
     extraneous regime (its k-th moment is g2, not a_k), otherwise the
     full-tilt density."""
-    params = params or quad._DEFAULT_PARAMS
     if report is None:
-        report = classify(obs_set, targets, params)
+        report = classify(obs_set, targets)
     if report.regime == "INADMISSIBLE":
         raise Infeasible("no limiting marginal for inadmissible targets")
     sol = report.reduced if report.regime == "EXTRANEOUS" else report.full
-    return quad.tilted_density(obs_set, sol.p, params)
+    return quad.tilted_density(obs_set, sol.p)

@@ -49,13 +49,13 @@ def _rate_eval(report, v):
     return RateEval(v=vt, value=_clip(value), maximizer_p=sol.p)
 
 
-def rate_I(obs_set, v, params=None):
+def rate_I(obs_set, v):
     """I(v) = sup over the domain of p.v - H(p); +inf below the floor."""
     v = np.asarray(v, dtype=float)
-    return _rate_eval(dual.classify(obs_set, v, params), v)
+    return _rate_eval(dual.classify(obs_set, v), v)
 
 
-def jmax_projected(obs_set, a, z, params=None):
+def jmax_projected(obs_set, a, z):
     """Rate of shifting mass z out of the k-th constraint:
     I(a_1, ..., a_{k-1}, a_k - z) - I(a).  Zero at z = 0; +inf when the
     shifted vector falls below the floor."""
@@ -67,41 +67,38 @@ def jmax_projected(obs_set, a, z, params=None):
         return 0.0
     if z == a[k - 1]:
         return math.inf
-    top, base = rate_scan(obs_set, a[: k - 1], [a[k - 1] - z, a[k - 1]], params)
+    top, base = rate_scan(obs_set, a[: k - 1], [a[k - 1] - z, a[k - 1]])
     if not math.isfinite(top.value):
         return math.inf
     return max(0.0, top.value - base.value)
 
 
-def entropy(d, params=None):
+def entropy(d):
     """Differential entropy of an exponential-family density:
     h = log Z_tilde - sum_i c_i E[phi_i], c the Lebesgue coefficients."""
-    params = params or quad._DEFAULT_PARAMS
     c = d.lebesgue_coeffs
-    mom = quad.moments(d.set, d.p, params)
+    mom = quad.moments(d.set, d.p)
     return float(d.log_norm - np.dot(c, mom))
 
 
-def K_of(obs_set, a, params=None):
+def K_of(obs_set, a):
     """Minimal relative-entropy cost constant: minus the differential
     entropy of the limiting marginal."""
-    params = params or quad._DEFAULT_PARAMS
-    lam = dual.limiting_marginal(obs_set, a, params)
-    return -entropy(lam, params)
+    lam = dual.limiting_marginal(obs_set, a)
+    return -entropy(lam)
 
 
-def rate_scan(obs_set, prefix, z_grid, params=None):
+def rate_scan(obs_set, prefix, z_grid):
     """I(prefix, z) along an increasing grid of last coordinates.
 
     Non-increasing in z; constant beyond g2(prefix).  The floor, the
     prefix check and the reduced solve are done once for the whole grid;
     each point then costs at most one full solve."""
-    params = params or quad._DEFAULT_PARAMS
     prefix = tuple(float(x) for x in prefix)
     if len(prefix) != obs_set.k - 1 or any(x <= 0 for x in prefix):
         raise ArgumentError("prefix must be the k-1 leading positive targets")
     z_grid = [float(z) for z in z_grid]
     if any(b <= a for a, b in zip(z_grid, z_grid[1:])):
         raise ArgumentError("z_grid must be strictly increasing")
-    phase = dual._PrefixPhase(obs_set, prefix, params)
+    phase = dual._PrefixPhase(obs_set, prefix)
     return [_rate_eval(phase.report(z), prefix + (z,)) for z in z_grid]

@@ -143,12 +143,11 @@ def feasible_point(spec, report=None):
     n (a_k - g2) of the last observable.  A damped Gauss-Newton sweep on
     the residual vector then pulls the configuration into the shell.
     """
-    qparams = quad._DEFAULT_PARAMS
     if report is None:
-        report = dual.classify(spec.set, spec.a, qparams)
+        report = dual.classify(spec.set, spec.a)
     if report.regime == "INADMISSIBLE":
         raise FeasibilityError("targets inadmissible: no shell to sample")
-    marginal = dual.limiting_marginal(spec.set, spec.a, qparams, report=report)
+    marginal = dual.limiting_marginal(spec.set, spec.a, report=report)
     n, k = spec.n, spec.set.k
     phi_k = spec.set.items[k - 1].eval
 

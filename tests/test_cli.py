@@ -89,6 +89,20 @@ class TestExitCodes:
         out = str(tmp_path / "out")
         assert cli.main(["bruteforce", "--config", path, "--out", out]) == 1
 
+    def test_mixing_failure_returns_2(self, tmp_path, capsys):
+        cfg = base_config(
+            mode="SAMPLE",
+            targets=[1.0, 2.5],
+            n_list=[8],
+            delta_list=[0.05],
+            chains={"burn_in": 0, "thin": 1, "n_states": 2000,
+                    "step_scale": 1e6, "swap_prob": 0.0},
+        )
+        path = write_config(tmp_path, cfg)
+        out = str(tmp_path / "out")
+        assert cli.main(["sample", "--config", path, "--out", out]) == 2
+        assert "numerical failure: MixingFailure" in capsys.readouterr().err
+
 
 class TestSolveCommand:
     def test_reduced_solves_and_full_reports_no_tilt(self, tmp_path):

@@ -148,11 +148,55 @@ class TestTiltedDensity:
         d = quad.tilted_density(S12, [0.2, -0.1])
         assert quad.cdf(d, 1e6) == pytest.approx(1.0, abs=1e-9)
 
-    def test_log_prob_interval_closed_form(self):
-        d = quad.tilted_density(S12, [0.0, 0.0])
-        a, b = 2.0, 5.0
-        expected = math.log(math.exp(-a) - math.exp(-b))
-        assert quad.log_prob_interval(d, a, b) == pytest.approx(expected, abs=1e-9)
+    @pytest.mark.parametrize(
+        "p, a, b",
+        [
+            pytest.param((0.0, 0.0), 2.0, 5.0, id="exp1-2-5"),
+            pytest.param((0.0, 0.0), 0.0, math.inf, id="exp1-whole-line"),
+            pytest.param((0.0, 0.0), 0.0, 0.5, id="exp1-0-0.5"),
+            pytest.param((0.0, 0.0), 1e-8, 1e-6, id="exp1-1e-8-1e-6"),
+            # below the default scan range, which starts at t = -80
+            pytest.param((0.0, 0.0), 0.0, 1e-40, id="exp1-0-1e-40"),
+            pytest.param((0.5, 0.0), 2.0, 5.0, id="p1=0.5-2-5"),
+            pytest.param((-1.0, 0.0), 2.0, 5.0, id="p1=-1-2-5"),
+        ]
+        + [
+            # the appendix shells sqrt((M -+ 0.1) n) of diagnostics
+            pytest.param(
+                (0.0, 0.0),
+                math.sqrt((M - 0.1) * n),
+                math.sqrt((M + 0.1) * n),
+                id="shell-M%g-n%d" % (M, n),
+            )
+            for M in (0.5, 2.0)
+            for n in (10, 10**4)
+        ]
+        + [pytest.param((0.2, -0.1), 0.5, 3.0, id="S12-tilt-0.5-3")],
+    )
+    def test_log_prob_interval_closed_form(self, p, a, b):
+        d = quad.tilted_density(S12, list(p))
+        got = quad.log_prob_interval(d, a, b)
+        if p[1] == 0.0:
+            # exponential law with rate 1 - p_1
+            r = 1.0 - p[0]
+            expected = -r * a + math.log(-math.expm1(-r * (b - a)))
+            assert got == pytest.approx(expected, rel=1e-12, abs=1e-15)
+        else:
+            expected = math.log(quad.cdf(d, b) - quad.cdf(d, a))
+            assert got == pytest.approx(expected, rel=1e-9)
+
+    def test_log_prob_interval_beyond_default_scan(self):
+        # phi = x^0.02 at p = 0: x^0.02 is Gamma(50), so P(X > e^200) is
+        # the upper incomplete gamma ratio Q(50, e^4); the log-weight
+        # peaks near t = 196, beyond the default scan end t = 60, and
+        # falls by more than the tail cut from t = 200 down to t = 60
+        d = quad.tilted_density(obs.power_set([0.02]), [0.0])
+        y = math.exp(4.0)
+        expected = math.log(
+            math.fsum(math.exp(k * 4.0 - math.lgamma(k + 1) - y) for k in range(50))
+        )
+        got = quad.log_prob_interval(d, math.exp(200.0), math.inf)
+        assert got == pytest.approx(expected, rel=1e-12)
 
     def test_log_prob_interval_deep_tail(self):
         # far tails where direct CDF subtraction would lose all precision

@@ -8,7 +8,7 @@ from microshell import dual_solver as dual
 from microshell import observables as obs
 from microshell import quadrature as quad
 from microshell import sampler as smp
-from microshell.errors import ArgumentError, EmptyShell, FeasibilityError
+from microshell.errors import ArgumentError, EmptyShell, FeasibilityError, MixingFailure
 
 S12 = obs.power_set([1, 2])
 S123 = obs.power_set([1, 2, 3])
@@ -70,6 +70,19 @@ class TestRunChain:
         # recomputing residuals from scratch agrees with the running sums
         worst = max(smp.shell_residual(spec, s) for s in batch.states[::50])
         assert worst <= spec.delta + 1e-9
+
+    def test_collapsed_acceptance_raises_mixing_failure(self):
+        # no burn-in, so the step never adapts down from 1e6: almost every
+        # Gaussian move leaves the thin shell, and no swap is proposed
+        spec = spec12(n=8, delta=0.05, a=(1.0, 2.5))
+        params = smp.ChainParams(
+            burn_in=0, thin=1, n_states=2000, step_scale=1e6, swap_prob=0.0
+        )
+        with pytest.raises(MixingFailure, match="acceptance rate") as info:
+            smp.run_chain(spec, params, seed=1)
+        assert set(info.value.diagnostics) == {"step", "n", "delta"}
+        assert info.value.diagnostics["n"] == 8
+        assert info.value.diagnostics["delta"] == 0.05
 
     def test_deterministic_given_seed(self):
         spec = spec12(n=16)
