@@ -28,11 +28,9 @@ def sweep(a, label):
     for n in (16, 32, 64, 128):
         spec = smp.ShellSpec(set=S12, n=n, delta=0.1, a=a)
         batch = smp.run_chain(spec, params, seed=100 + n)
-        stats = diag.max_stats(batch)
-        m = float(np.mean([s.M for s in stats]))
-        nn = float(np.mean([s.N for s in stats]))
-        frac = float(np.mean([s.M > 0.1 for s in stats]))
-        print(f"{n:>5} {m:>10.4f} {nn:>10.4f} {frac:>13.4f}")
+        M, N = diag.max_stats(batch)
+        frac = float(np.mean(M > 0.1))
+        print(f"{n:>5} {M.mean():>10.4f} {N.mean():>10.4f} {frac:>13.4f}")
 
 
 def main():

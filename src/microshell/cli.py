@@ -150,16 +150,8 @@ def _config_hash(config):
 
 def _write_json(path, payload):
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2, default=_json_default)
+        json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
-
-
-def _json_default(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError("cannot serialize %r" % (value,))
 
 
 def _reportable(value):
@@ -301,15 +293,15 @@ def _cmd_sample(config, out_dir, seed):
             os.path.join(out_dir, "samples_%s.csv" % tag),
             os.path.join(out_dir, "samples_%s.json" % tag),
         )
-        stats = diag.max_stats(batch)
+        M, N = diag.max_stats(batch)
         ks = diag.ks_distance(batch.states.ravel(), marginal)
         summary_rows.append(
             {
                 "n": n,
                 "delta": delta,
                 "ks": ks,
-                "mean_M": float(np.mean([s.M for s in stats])),
-                "mean_N": float(np.mean([s.N for s in stats])),
+                "mean_M": float(np.mean(M)),
+                "mean_N": float(np.mean(N)),
             }
         )
         batches_by_delta.setdefault(delta, []).append(batch)
@@ -322,7 +314,7 @@ def _cmd_sample(config, out_dir, seed):
         level = (targets[-1] - g2v) if (g2v is not None and targets[-1] > g2v) else 0.0
         upper = diag.tail_rate(
             batches,
-            lambda s, sp, _l=level, _e=eps: s.M >= _l + _e,
+            lambda M: M >= level + eps,
             "LINEAR_N",
             event_label="M>=%s" % repr(level + eps),
         )
@@ -330,7 +322,7 @@ def _cmd_sample(config, out_dir, seed):
         if oset.gamma is not None and level > 0:
             lower = diag.tail_rate(
                 batches,
-                lambda s, sp, _l=level, _e=eps: s.M <= _l - _e,
+                lambda M: M <= level - eps,
                 "POWER_GAMMA",
                 gamma=oset.gamma[0],
                 event_label="M<=%s" % repr(level - eps),

@@ -1,10 +1,12 @@
-"""Sample diagnostics: marginal distances, max-component statistics and
+"""Sample diagnostics: marginal distances, the order parameters and
 tail-rate estimates at the scalings n and n^gamma.
 
-The two tail scalings probe the asymmetry of the maximum statistic
-M = max_j phi_k(x_j)/n in the localized regime: its upper tail decays
-exponentially in n while its lower tail decays only like exp(-c n^gamma)
-with gamma the growth exponent of the slowest constraint.
+The order parameters of a batch are two arrays with one entry per state:
+M, the largest share max_j phi_k(x_j)/n, and N, the second largest.
+The two tail scalings probe the asymmetry of M in the localized regime:
+its upper tail decays exponentially in n while its lower tail decays
+only like exp(-c n^gamma) with gamma the growth exponent of the slowest
+constraint.
 """
 
 import csv
@@ -19,25 +21,16 @@ from .errors import ArgumentError
 from .sampler import DensityTable
 
 __all__ = [
-    "MaxStats",
     "TailRateEstimate",
     "AppendixReport",
     "ks_distance",
     "max_stats",
-    "max_values",
     "tail_rate",
     "appendix_checks",
     "default_epsilon",
     "write_tail_rates_csv",
     "write_summary_csv",
 ]
-
-
-@dataclass(frozen=True)
-class MaxStats:
-    M: float  # largest phi_k(x_j)/n
-    N: float  # second largest
-    argmax_index: int  # lowest index among ties
 
 
 @dataclass(frozen=True)
@@ -88,25 +81,17 @@ def ks_distance(samples, reference):
     return float(max(np.max(upper), np.max(lower), 0.0))
 
 
-def max_values(batch):
-    """Per-state M = max_j phi_k(x_j)/n as a vector."""
-    spec = batch.spec
-    vals = spec.set.items[spec.set.k - 1].eval(batch.states) / spec.n
-    return vals.max(axis=1)
-
-
 def max_stats(batch):
-    """Per-state (M, N, argmax) with lowest-index tie-breaking."""
+    """Order parameters (M, N): per-state arrays of the largest and the
+    second-largest phi_k(x_j)/n.  N equals M on a tie and is 0 at n = 1."""
     spec = batch.spec
     vals = spec.set.items[spec.set.k - 1].eval(batch.states) / spec.n
-    out = []
-    for row in vals:
-        arg = int(np.argmax(row))  # argmax returns the lowest index on ties
-        m = float(row[arg])
-        rest = np.delete(row, arg)
-        second = float(np.max(rest)) if rest.size else 0.0
-        out.append(MaxStats(M=m, N=second, argmax_index=arg))
-    return out
+    if vals.shape[1] == 1:
+        return vals[:, 0].copy(), np.zeros(len(vals))
+    top = np.partition(vals, -2, axis=1)
+    # contiguous copies, so that means over them sum in the same order as
+    # over a freshly built array, and the (states, n) array can be freed
+    return top[:, -1].copy(), top[:, -2].copy()
 
 
 def default_epsilon(a_k, g2=None):
@@ -128,7 +113,7 @@ def _wilson(successes, trials, z=1.96):
 def tail_rate(batches, event, scaling, gamma=None, event_label=""):
     """(1/g(n)) log of the empirical event probability across an n-sweep.
 
-    event is a predicate on (MaxStats, ShellSpec) evaluated per state.
+    event maps the M array of max_stats to a boolean array.
     scaling "LINEAR_N" uses g(n) = n, "POWER_GAMMA" uses g(n) = n^gamma.
     A zero count is reported as the censored plug-in 1/trials.
     """
@@ -138,11 +123,11 @@ def tail_rate(batches, event, scaling, gamma=None, event_label=""):
         raise ArgumentError("POWER_GAMMA scaling needs gamma")
     out = []
     for batch in batches:
-        stats = max_stats(batch)
-        trials = len(stats)
+        M, _ = max_stats(batch)
+        trials = M.size
         if trials == 0:
             raise ArgumentError("batch has zero recorded states")
-        successes = sum(1 for s in stats if event(s, batch.spec))
+        successes = int(np.count_nonzero(event(M)))
         n = batch.spec.n
         g = float(n) if scaling == "LINEAR_N" else float(n) ** gamma
         censored = successes == 0

@@ -14,7 +14,7 @@ class DomainError(MicroshellError):
 
 
 class QuadratureError(MicroshellError):
-    """Quadrature missed its tolerance within its panel or refinement budget."""
+    """Quadrature found no resolvable support or missed its tolerance."""
 
 
 class ArgumentError(MicroshellError):

@@ -126,6 +126,10 @@ def _bracket(gfun, cut_nats, t_min=-np.inf, t_max=np.inf):
         raise QuadratureError("could not bracket the integrand support")
     for _ in range(4):
         idx = np.flatnonzero(gs > gmax - cut_nats)
+        if idx.size == 0 or ts[0] == ts[-1]:
+            # the cut is below the rounding of gmax, or the range has no
+            # width in t: nothing to integrate at this precision
+            raise QuadratureError("integrand has no resolvable support in t = log x")
         t_lo = ts[max(idx[0] - 1, 0)]
         t_hi = ts[min(idx[-1] + 1, len(ts) - 1)]
         if len(idx) >= 16:

@@ -414,7 +414,9 @@ def save_batch_csv(batch, csv_path, sidecar_path=None):
     means, max statistic) plus a JSON sidecar with run metadata."""
     spec = batch.spec
     k = spec.set.k
-    phi_k = spec.set.items[k - 1].eval
+    vals = _phi_values(spec.set, batch.states)  # (k, states, n)
+    means = vals.mean(axis=2).T
+    maxima = vals[k - 1].max(axis=1) / spec.n
     with open(csv_path, "w", newline="") as fh:
         w = csv.writer(fh)
         header = (
@@ -424,14 +426,12 @@ def save_batch_csv(batch, csv_path, sidecar_path=None):
             + ["max_stat"]
         )
         w.writerow(header)
-        for idx, state in enumerate(batch.states):
-            means = _phi_values(spec.set, state).mean(axis=1)
-            m = float(np.max(phi_k(state)) / spec.n)
+        for idx, (state, mean, m) in enumerate(zip(batch.states, means, maxima)):
             w.writerow(
                 [idx]
                 + [repr(float(v)) for v in state]
-                + [repr(float(v)) for v in means]
-                + [repr(m)]
+                + [repr(float(v)) for v in mean]
+                + [repr(float(m))]
             )
     if sidecar_path is not None:
         side = {

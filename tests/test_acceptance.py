@@ -72,12 +72,6 @@ def _sweep(a, delta, protocol, reference, seed_base):
     return out
 
 
-def _order_parameters(batch):
-    """Per-state largest and second-largest shares (M_n, N_n)."""
-    stats = diag.max_stats(batch)
-    return np.array([s.M for s in stats]), np.array([s.N for s in stats])
-
-
 def _standard_error(values):
     return float(np.std(values, ddof=1) / math.sqrt(len(values)))
 
@@ -246,10 +240,10 @@ class TestLocalizationOrderParameters:
         # n: N_n falls strictly (exact rejection sampling gives 0.422,
         # 0.332, 0.254 at n = 64, 128, 256), and the surplus sits in the
         # two largest coordinates rather than in the bulk.
-        mean_N = [float(_order_parameters(localized_sweep[n])[1].mean())
+        mean_N = [float(diag.max_stats(localized_sweep[n])[1].mean())
                   for n in NS]
         assert all(hi > lo for hi, lo in zip(mean_N, mean_N[1:])), mean_N
-        M, N = _order_parameters(localized_sweep[512])
+        M, N = diag.max_stats(localized_sweep[512])
         surplus = float(np.mean(M + N))
         assert abs(surplus - 1.0) <= 0.1, surplus
 
@@ -263,7 +257,7 @@ class TestLocalizationOrderParameters:
         exact = _rejection_order_parameters(
             64, (1.0, 3.0), 0.05, rows=10_000_000, seed=20240903
         )
-        for chain, ex in zip(_order_parameters(localized_sweep[64]), exact):
+        for chain, ex in zip(diag.max_stats(localized_sweep[64]), exact):
             se = math.hypot(_batch_means_error(chain, 5 * seeds),
                             _standard_error(ex))
             assert abs(chain.mean() - ex.mean()) <= 4.0 * se, (
@@ -272,8 +266,8 @@ class TestLocalizationOrderParameters:
     def test_delocalized_fraction_vanishes(self, interior_sweep):
         fracs = []
         for n in NS:
-            stats = diag.max_stats(interior_sweep[n])
-            fracs.append(float(np.mean([s.M > 0.1 for s in stats])))
+            M, _ = diag.max_stats(interior_sweep[n])
+            fracs.append(float(np.mean(M > 0.1)))
         assert all(b < a + 1e-12 for a, b in zip(fracs, fracs[1:])), fracs
         assert fracs[-1] <= 0.01
 
@@ -287,7 +281,7 @@ class TestTailScalings:
     def test_upper_tail_linear_rate_persists(self, localized_sweep):
         ests = diag.tail_rate(
             self._batches(localized_sweep),
-            lambda s, sp: s.M >= 1.0 + self.EPS,
+            lambda M: M >= 1.0 + self.EPS,
             "LINEAR_N",
         )
         vals = [e.estimate for e in ests]
@@ -298,7 +292,7 @@ class TestTailScalings:
     def test_lower_tail_sqrt_rate_persists(self, localized_sweep):
         ests = diag.tail_rate(
             self._batches(localized_sweep),
-            lambda s, sp: s.M <= 1.0 - self.EPS,
+            lambda M: M <= 1.0 - self.EPS,
             "POWER_GAMMA",
             gamma=0.5,
         )
@@ -309,7 +303,7 @@ class TestTailScalings:
     def test_lower_tail_linear_rate_vanishes(self, localized_sweep):
         ests = diag.tail_rate(
             self._batches(localized_sweep),
-            lambda s, sp: s.M <= 1.0 - self.EPS,
+            lambda M: M <= 1.0 - self.EPS,
             "LINEAR_N",
         )
         vals = [e.estimate for e in ests]

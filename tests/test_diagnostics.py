@@ -14,10 +14,10 @@ S12 = obs.power_set([1, 2])
 EXP1 = quad.tilted_density(S12, [0.0, 0.0])
 
 
-def _fake_batch(states, n=None, a=(1.0, 3.0), delta=0.1):
+def _fake_batch(states, n=None, a=(1.0, 3.0), delta=0.1, oset=S12):
     states = np.asarray(states, dtype=float)
     n = n or states.shape[1]
-    spec = smp.ShellSpec(set=S12, n=n, delta=delta, a=a)
+    spec = smp.ShellSpec(set=oset, n=n, delta=delta, a=a)
     return smp.SampleBatch(
         states=states,
         seed=0,
@@ -80,37 +80,52 @@ class TestKSDistance:
 class TestMaxStats:
     def test_direct_evaluation(self):
         batch = _fake_batch([[1.0, 2.0]], a=(1.5, 2.5))
-        (s,) = diag.max_stats(batch)
-        assert s.M == pytest.approx(2.0)
-        assert s.N == pytest.approx(0.5)
-        assert s.argmax_index == 1
+        M, N = diag.max_stats(batch)
+        assert M[0] == pytest.approx(2.0)
+        assert N[0] == pytest.approx(0.5)
 
-    def test_ties_give_m_equals_n_and_lowest_index(self):
+    def test_ties_give_m_equals_n(self):
         batch = _fake_batch([[2.0, 2.0, 2.0]], a=(2.0, 4.0))
-        (s,) = diag.max_stats(batch)
-        assert s.M == s.N
-        assert s.argmax_index == 0
+        M, N = diag.max_stats(batch)
+        assert M[0] == N[0]
+
+    def test_single_coordinate_has_zero_second_share(self):
+        batch = _fake_batch([[0.9], [1.05]], a=(1.0,), oset=obs.power_set([1]))
+        M, N = diag.max_stats(batch)
+        assert np.array_equal(M, [0.9, 1.05])
+        assert np.array_equal(N, [0.0, 0.0])
 
     def test_m_at_least_n(self):
         rng = np.random.Generator(np.random.PCG64(5))
         batch = _fake_batch(rng.random((50, 8)) + 0.1)
-        for s in diag.max_stats(batch):
-            assert s.M >= s.N >= 0
+        M, N = diag.max_stats(batch)
+        assert M.shape == N.shape == (50,)
+        assert np.all(M >= N) and np.all(N >= 0)
+
+    def test_matches_per_state_sort(self):
+        rng = np.random.Generator(np.random.PCG64(8))
+        states = rng.random((200, 7)) + 0.1
+        states[::5, 4] = states[::5].max(axis=1)  # the two largest tie
+        batch = _fake_batch(states)
+        M, N = diag.max_stats(batch)
+        top = np.sort(states ** 2 / 7, axis=1)
+        assert np.array_equal(M, top[:, -1])
+        assert np.array_equal(N, top[:, -2])
+
+    def test_vector_over_states(self):
+        batch = _fake_batch([[1.0, 3.0], [2.0, 1.0]], a=(1.0, 3.0))
+        M, N = diag.max_stats(batch)
+        assert np.allclose(M, [4.5, 2.0])
+        assert np.allclose(N, [0.5, 0.5])
 
     @settings(max_examples=30, deadline=None)
     @given(st.permutations(list(range(6))))
     def test_permutation_invariant(self, perm):
         base = np.array([[0.5, 1.5, 0.7, 2.5, 0.2, 1.1]])
-        batch1 = _fake_batch(base)
-        batch2 = _fake_batch(base[:, perm])
-        (a,), (b,) = diag.max_stats(batch1), diag.max_stats(batch2)
-        assert a.M == b.M
-        assert a.N == b.N
-
-    def test_max_values_vector(self):
-        batch = _fake_batch([[1.0, 3.0], [2.0, 1.0]], a=(1.0, 3.0))
-        vals = diag.max_values(batch)
-        assert np.allclose(vals, [4.5, 2.0])
+        M1, N1 = diag.max_stats(_fake_batch(base))
+        M2, N2 = diag.max_stats(_fake_batch(base[:, perm]))
+        assert M1[0] == M2[0]
+        assert N1[0] == N2[0]
 
 
 class TestDefaultEpsilon:
@@ -135,15 +150,15 @@ class TestTailRate:
 
     def test_requires_two_ns(self):
         with pytest.raises(ArgumentError):
-            diag.tail_rate([self._batches()[0]], lambda s, sp: True, "LINEAR_N")
+            diag.tail_rate([self._batches()[0]], lambda M: M >= 0, "LINEAR_N")
 
     def test_gamma_requires_gamma(self):
         with pytest.raises(ArgumentError):
-            diag.tail_rate(self._batches(), lambda s, sp: True, "POWER_GAMMA")
+            diag.tail_rate(self._batches(), lambda M: M >= 0, "POWER_GAMMA")
 
     def test_estimates_nonpositive_and_ci_ordered(self):
         ests = diag.tail_rate(
-            self._batches(), lambda s, sp: s.M >= 0.5, "LINEAR_N", event_label="big"
+            self._batches(), lambda M: M >= 0.5, "LINEAR_N", event_label="big"
         )
         for e in ests:
             assert e.estimate <= 0.0
@@ -151,14 +166,14 @@ class TestTailRate:
 
     def test_event_nesting_monotonicity(self):
         batches = self._batches()
-        wide = diag.tail_rate(batches, lambda s, sp: s.M >= 0.2, "LINEAR_N")
-        narrow = diag.tail_rate(batches, lambda s, sp: s.M >= 0.8, "LINEAR_N")
+        wide = diag.tail_rate(batches, lambda M: M >= 0.2, "LINEAR_N")
+        narrow = diag.tail_rate(batches, lambda M: M >= 0.8, "LINEAR_N")
         for w, nrw in zip(wide, narrow):
             assert nrw.estimate <= w.estimate + 1e-12
 
     def test_censored_zero_count(self):
         ests = diag.tail_rate(
-            self._batches(), lambda s, sp: s.M > 1e9, "LINEAR_N"
+            self._batches(), lambda M: M > 1e9, "LINEAR_N"
         )
         for e in ests:
             assert e.censored
@@ -167,7 +182,7 @@ class TestTailRate:
 
     def test_power_gamma_scaling(self):
         ests = diag.tail_rate(
-            self._batches(), lambda s, sp: s.M >= 0.5, "POWER_GAMMA", gamma=0.5
+            self._batches(), lambda M: M >= 0.5, "POWER_GAMMA", gamma=0.5
         )
         for e in ests:
             assert e.gamma == 0.5
@@ -230,7 +245,7 @@ class TestCSVWriters:
         batches = [
             _fake_batch(rng.random((50, n)) + 0.1, n=n) for n in (16, 32)
         ]
-        ests = diag.tail_rate(batches, lambda s, sp: s.M > 0.1, "LINEAR_N",
+        ests = diag.tail_rate(batches, lambda M: M > 0.1, "LINEAR_N",
                               event_label="e")
         path = tmp_path / "t.csv"
         diag.write_tail_rates_csv(ests, str(path), delta=0.1)

@@ -205,6 +205,19 @@ class TestTiltedDensity:
         expected = -100.0 + math.log1p(-math.exp(-10.0))
         assert got == pytest.approx(expected, rel=1e-8)
 
+    def test_log_prob_interval_without_width_in_log_x_raises(self):
+        # log a and log b round to the same t
+        d = quad.tilted_density(S12, [0.0, 0.0])
+        with pytest.raises(QuadratureError, match="no resolvable support"):
+            quad.log_prob_interval(d, 1e10, math.nextafter(1e10, math.inf))
+
+    def test_log_prob_interval_below_rounding_of_its_maximum_raises(self):
+        # near t = log 1e30 the log-weight is about -1e30, so its maximum
+        # minus the tail cut rounds back to the maximum
+        d = quad.tilted_density(S12, [0.0, 0.0])
+        with pytest.raises(QuadratureError, match="no resolvable support"):
+            quad.log_prob_interval(d, 1e30, math.inf)
+
     def test_lebesgue_coefficients(self):
         d = quad.tilted_density(S12, [0.25, -0.5])
         assert tuple(d.lebesgue_coeffs) == pytest.approx((-0.75, -0.5))

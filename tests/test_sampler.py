@@ -176,6 +176,33 @@ class TestMergeAndSave:
         assert side["seed"] == 5
         assert side["n"] == 4
 
+    def test_statistic_columns_match_per_state_values(self, tmp_path):
+        # the S_i and max_stat columns, computed for the whole batch at
+        # once, equal the state-by-state values digit for digit
+        rng = np.random.Generator(np.random.PCG64(9))
+        n = 37
+        spec = smp.ShellSpec(set=S123, n=n, delta=0.1, a=(1.0, 2.0, 6.0))
+        states = rng.exponential(size=(300, n))
+        batch = smp.SampleBatch(
+            states=states,
+            seed=0,
+            acceptance_rate=1.0,
+            shell_residuals=np.zeros(len(states)),
+            spec=spec,
+        )
+        path = tmp_path / "batch.csv"
+        smp.save_batch_csv(batch, str(path))
+        rows = path.read_text().strip().splitlines()[1:]
+        M, _ = diag.max_stats(batch)
+        for row, state, m in zip(rows, states, M):
+            means = [ob.eval(state).mean() for ob in S123.items]
+            top = float(np.max(S123.items[2].eval(state)) / n)
+            assert row.split(",")[1 + n:] == [repr(float(v)) for v in means] + [
+                repr(top)
+            ]
+            assert repr(float(m)) == repr(top)
+        assert len(rows) == 300
+
 
 class TestSampleTilted:
     def test_law_of_large_numbers(self):
