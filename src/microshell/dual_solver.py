@@ -291,21 +291,22 @@ def g2(obs_set, targets):
 
 
 def g1_closed_form_available(obs_set):
-    """Whether g1 has a closed form for this set: POWERS with k = 2, or
-    with exponents (1, 2, 3).  classify checks the floor only then."""
-    if obs_set.family_tag != "POWERS":
-        return False
-    e = obs_set.exponents
-    return obs_set.k == 2 or (obs_set.k == 3 and e == (1.0, 2.0, 3.0))
+    """Whether g1 has a closed form for this set: k = 2 or k = 3.
+    classify checks the floor only then."""
+    return obs_set.k in (2, 3)
 
 
 def g1(obs_set, targets):
     """Floor of the k-th moment compatible with the first k-1 moments.
 
-    Closed forms for the POWERS family with k = 2 (Jensen floor
-    v_1^(e_2/e_1)) and exponents (1,2,3) (two-point-mass floor
-    v_2^2 / v_1).  Raises ArgumentError for any other set
-    (g1_closed_form_available() is False there).
+    Closed forms for k = 2 (Jensen floor v_1^(e_2/e_1)) and k = 3
+    (v_1 s^(e_3 - e_1) with s = (v_2/v_1)^(1/(e_2 - e_1)), which is
+    v_2^2 / v_1 at exponents (1, 2, 3)).  The k = 3 floor is reached by
+    one atom at 0 and one at s: the dual certificate
+    x^e_1 (x^(e_3 - e_1) - c x^(e_2 - e_1) - b) >= 0 has a double root at
+    s, and Descartes' rule of signs allows no other positive root.  It is
+    the floor for an admissible prefix, v_2 > v_1^(e_2/e_1).  Raises
+    ArgumentError for k >= 4 (g1_closed_form_available() is False there).
     """
     targets = np.asarray(targets, dtype=float)
     k = obs_set.k
@@ -313,10 +314,11 @@ def g1(obs_set, targets):
         raise ArgumentError("g1 takes the first k-1 targets")
     if not g1_closed_form_available(obs_set):
         raise ArgumentError("no closed-form floor g1 for this observable set")
-    e = obs_set.exponents
+    e, v = obs_set.exponents, targets
     if k == 2:
-        return float(targets[0] ** (e[1] / e[0]))
-    return float(targets[1] ** 2 / targets[0])
+        return float(v[0] ** (e[1] / e[0]))
+    s = (v[1] / v[0]) ** (1.0 / (e[1] - e[0]))
+    return float(v[0] * s ** (e[2] - e[0]))
 
 
 class _PrefixPhase:
@@ -333,10 +335,11 @@ class _PrefixPhase:
         self.g1 = None
         if k == 1:
             # single constraint: the floor is phi_1 at 0+
-            self.g1 = float(obs_set.items[0].eval(1e-12))
+            self.g1 = float(1e-12 ** obs_set.exponents[0])
         elif g1_closed_form_available(obs_set):
-            # prefix admissibility for the (1,2,3) family: v2 > v1^2
-            self.admissible = k == 2 or self.prefix[1] > self.prefix[0] ** 2
+            # a k = 3 prefix is admissible above its own Jensen floor
+            e, v = obs_set.exponents, self.prefix
+            self.admissible = k == 2 or v[1] > v[0] ** (e[1] / e[0])
             self.g1 = g1(obs_set, self.prefix)
 
     @functools.cached_property

@@ -106,19 +106,18 @@ class DensityTable:
     widths: np.ndarray
 
 
-def _phi_values(obs_set, x):
-    """(k, ...) array of observable values at x."""
-    return np.array([ob.eval(np.asarray(x, dtype=float)) for ob in obs_set.items])
-
-
 def shell_residual(spec, x):
     """max_i |(1/n) sum_j phi_i(x_j) - a_i|."""
-    means = _phi_values(spec.set, x).mean(axis=1)
+    means = spec.set.phi(x).mean(axis=1)
     return float(np.max(np.abs(means - np.asarray(spec.a))))
 
 
 def _increasing_root(fn, target, hi_guess=1.0):
-    """Solve fn(x) = target for increasing fn on (0, inf) by bisection."""
+    """Solve fn(x) = target for increasing fn on (0, inf) by bisection.
+
+    For fn = x^e the root has the closed form target^(1/e), but it gives
+    other bits, which would move the chain's starting point and brute
+    force's caps, so result files would change."""
     lo, hi = 1e-12, hi_guess
     for _ in range(200):
         if fn(hi) >= target:
@@ -149,13 +148,13 @@ def feasible_point(spec, report=None):
         raise FeasibilityError("targets inadmissible: no shell to sample")
     marginal = dual.limiting_marginal(spec.set, spec.a, report=report)
     n, k = spec.n, spec.set.k
-    phi_k = spec.set.items[k - 1].eval
 
     if report.regime == "EXTRANEOUS" and n >= 2:
         surplus = n * (spec.a[k - 1] - report.g2)
         bulk = quad.quantile(marginal, (np.arange(n - 1) + 0.5) / (n - 1))
         if surplus > 0:
-            spike = _increasing_root(phi_k, surplus)
+            e_k = spec.set.exponents[-1]
+            spike = _increasing_root(lambda v: v ** e_k, surplus)
         else:
             spike = quad.quantile(marginal, 0.5)
         x = np.concatenate([np.atleast_1d(bulk), [spike]])
@@ -169,11 +168,11 @@ def feasible_point(spec, report=None):
     y = np.log(x)
     for _ in range(500):
         x = np.exp(y)
-        vals = _phi_values(spec.set, x)
+        vals = spec.set.phi(x)
         r = vals.mean(axis=1) - a
         if np.max(np.abs(r)) <= 0.5 * spec.delta:
             return x
-        jac = np.array([ob.deriv(x) * x for ob in spec.set.items]) / n  # (k, n)
+        jac = spec.set.dphi(x) * x / n  # (k, n)
         gram = jac @ jac.T
         try:
             lam = np.linalg.solve(gram, -r)
@@ -187,7 +186,7 @@ def feasible_point(spec, report=None):
         cur = np.max(np.abs(r))
         for _ in range(40):
             trial = y + alpha * dy
-            vals_t = _phi_values(spec.set, np.exp(trial))
+            vals_t = spec.set.phi(np.exp(trial))
             r_t = np.max(np.abs(vals_t.mean(axis=1) - a))
             if r_t < cur:
                 y = trial
@@ -212,14 +211,14 @@ def run_chain(spec, params, seed, reference=None):
     n, k = spec.n, spec.set.k
     a = list(spec.a)
     delta = spec.delta
-    evals = [ob.eval for ob in spec.set.items]
+    exps = spec.set.exponents
     ref_c = None
     if reference is not None:
         ref_c = list(np.asarray(reference.lebesgue_coeffs, dtype=float))
 
     rng = np.random.Generator(np.random.PCG64(seed))
     x = [float(v) for v in x0]
-    sums = [float(sum(evals[i](xi) for xi in x)) for i in range(k)]
+    sums = [float(sum(xi ** e for xi in x)) for e in exps]
 
     log_step = math.log(params.step_scale)
     total_steps = params.burn_in + params.n_states * params.thin
@@ -261,7 +260,7 @@ def run_chain(spec, params, seed, reference=None):
                     ok = True
                     deltas = []
                     for i in range(k):
-                        d_i = evals[i](new) - evals[i](old)
+                        d_i = new ** exps[i] - old ** exps[i]
                         s_new = sums[i] + d_i
                         if abs(s_new / n - a[i]) > delta:
                             ok = False
@@ -307,7 +306,7 @@ def run_chain(spec, params, seed, reference=None):
                     recorded += 1
         done += todo
         # periodic refresh of the running sums against float drift
-        sums = [float(sum(evals[i](xi) for xi in x)) for i in range(k)]
+        sums = [float(sum(xi ** e for xi in x)) for e in exps]
 
     acc_rate = accepted_post / max(post_steps, 1)
     if acc_rate < 1e-3:
@@ -368,8 +367,8 @@ def brute_force_conditional(spec, grid_points=None, x_min=None, x_max=None):
     a = np.asarray(spec.a)
     if x_max is None:
         caps = [
-            _increasing_root(ob.eval, n * (ai + spec.delta))
-            for ob, ai in zip(spec.set.items, a)
+            _increasing_root(lambda v, e=e: v ** e, n * (ai + spec.delta))
+            for e, ai in zip(spec.set.exponents, a)
         ]
         x_max = 1.0001 * min(caps)
     if x_min is None:
@@ -377,7 +376,7 @@ def brute_force_conditional(spec, grid_points=None, x_min=None, x_max=None):
     edges = np.geomspace(x_min, x_max, grid_points + 1)
     centers = np.sqrt(edges[:-1] * edges[1:])
     widths = np.diff(edges)
-    vals = _phi_values(spec.set, centers)  # (k, grid)
+    vals = spec.set.phi(centers)  # (k, grid)
 
     lo = n * (a - spec.delta)
     hi = n * (a + spec.delta)
@@ -414,7 +413,7 @@ def save_batch_csv(batch, csv_path, sidecar_path=None):
     means, max statistic) plus a JSON sidecar with run metadata."""
     spec = batch.spec
     k = spec.set.k
-    vals = _phi_values(spec.set, batch.states)  # (k, states, n)
+    vals = spec.set.phi(batch.states)  # (k, states, n)
     means = vals.mean(axis=2).T
     maxima = vals[k - 1].max(axis=1) / spec.n
     with open(csv_path, "w", newline="") as fh:

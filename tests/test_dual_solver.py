@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import linprog
 
 from microshell import dual_solver as dual
 from microshell import observables as obs
@@ -19,6 +20,36 @@ S12 = obs.power_set([1, 2])
 S123 = obs.power_set([1, 2, 3])
 S115 = obs.power_set([1, 1.5])
 S2 = obs.power_set([2])
+
+
+def _lp_floor(exponents, prefix):
+    """Least E[x^e3] over probability vectors on the atom 0 and a
+    geometric grid, with E[x^e1] and E[x^e2] matched: a linear program,
+    solved on a coarse grid and again on a fine grid spanning the coarse
+    solution's positive atoms and their neighbours.  The grid is laid out
+    in units of the Jensen scale v1^(1/e1), which keeps the program's
+    entries within a few decades of 1."""
+    e1, e2, e3 = exponents
+    unit = prefix[0] ** (1.0 / e1)
+    tol = dict(primal_feasibility_tolerance=1e-10, dual_feasibility_tolerance=1e-10)
+
+    def solve(grid):
+        atoms = np.concatenate([[0.0], grid])
+        lp = linprog(
+            atoms ** e3,
+            A_eq=np.array([np.ones_like(atoms), atoms ** e1, atoms ** e2]),
+            b_eq=[1.0, prefix[0] / unit ** e1, prefix[1] / unit ** e2],
+            bounds=(0, None),
+            method="highs",
+            options=tol,
+        )
+        assert lp.status == 0, lp.message
+        return lp.fun * unit ** e3, grid[lp.x[1:] > 0]
+
+    coarse = np.geomspace(1e-1, 1e3, 4001)
+    _, support = solve(coarse)
+    ratio = coarse[1] / coarse[0]
+    return solve(np.geomspace(support.min() / ratio, support.max() * ratio, 4001))[0]
 
 
 class TestReducedSolve:
@@ -97,13 +128,36 @@ class TestPhaseFunctions:
         assert dual.g1(s, (2.0,)) == pytest.approx(2.0 ** 1.5, rel=1e-3)
 
     @pytest.mark.parametrize(
-        "exponents, prefix", [([1, 2, 4], (1.0, 1.2)), ([1, 2, 2.5], (1.0, 3.0))]
+        "exponents, prefix",
+        [([1, 2, 3, 4], (1.0, 2.5, 7.0)), ([0.5, 1, 2, 2.5], (1.0, 1.5, 4.0))],
     )
     def test_g1_without_closed_form_raises(self, exponents, prefix):
         s = obs.power_set(exponents)
         assert not dual.g1_closed_form_available(s)
         with pytest.raises(ArgumentError):
             dual.g1(s, prefix)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.floats(min_value=0.5, max_value=2.0),
+        st.floats(min_value=0.25, max_value=2.0),
+        st.floats(min_value=0.25, max_value=3.0),
+        st.floats(min_value=0.5, max_value=2.0),
+        st.floats(min_value=0.05, max_value=0.95),
+    )
+    # exponents (1, 2, 3), (1, 2, 4), (1, 2, 2.5), (0.5, 1.5, 2), (1, 1.5, 4)
+    @example(1.0, 1.0, 1.0, 1.0, 0.8)
+    @example(1.0, 1.0, 2.0, 1.0, 0.8)
+    @example(1.0, 1.0, 0.5, 1.0, 0.8)
+    @example(0.5, 1.0, 0.5, 1.0, 0.8)
+    @example(1.0, 0.5, 2.5, 1.0, 0.8)
+    def test_g1_k3_matches_linear_program(self, e1, gap2, gap3, v1, w):
+        # v2 = v1^(e2/e1) w^(-gap2/e1) lies above the prefix's Jensen
+        # floor for every w < 1, so the prefix is admissible
+        e2, e3 = e1 + gap2, e1 + gap2 + gap3
+        v2 = v1 ** (e2 / e1) / w ** (gap2 / e1)
+        g1 = dual.g1(obs.power_set([e1, e2, e3]), (v1, v2))
+        assert g1 == pytest.approx(_lp_floor((e1, e2, e3), (v1, v2)), rel=1e-8)
 
     def test_g1_below_g2(self):
         v1 = 1.3
@@ -188,6 +242,23 @@ class TestClassify:
         rep = dual.classify(S123, targets)
         assert rep.regime == "FULL_TILT_S2"
         assert np.allclose(rep.full.achieved, targets, atol=1e-8)
+
+    def test_k3_floor_without_reduced_solve(self):
+        # POWERS[1, 2, 4] at prefix (1, 1.2): g1 = 1.2^3 = 1.728
+        s = obs.power_set([1, 2, 4])
+        rep = dual.classify(s, (1.0, 1.2, 1.6))
+        assert rep.regime == "INADMISSIBLE"
+        assert rep.g1 == pytest.approx(1.728, rel=1e-15)
+        assert rep.reduced is None
+        rep = dual.classify(s, (1.0, 1.2, 1.8))
+        assert rep.regime == "INTERIOR_S1"
+        assert np.allclose(rep.full.achieved, [1.0, 1.2, 1.8], atol=1e-8)
+
+    def test_k3_prefix_below_its_jensen_floor_is_inadmissible(self):
+        # v2 <= v1^(e2/e1) = 1.5^2 for POWERS[1, 2, 4]
+        rep = dual.classify(obs.power_set([1, 2, 4]), (1.5, 2.25, 100.0))
+        assert rep.regime == "INADMISSIBLE"
+        assert rep.notes == ("prefix outside admissible set",)
 
     def test_k1_always_binds(self):
         rep = dual.classify(S2, (2.0,))

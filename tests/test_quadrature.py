@@ -422,15 +422,17 @@ class TestTiltStatsKernel:
             14861058.126509577, rel=1e-13
         )
 
-    def test_nonsmooth_integrand_raises_after_fixed_halvings(self):
-        # a jump in phi at x = 1.3 makes every Gauss-Legendre grid
-        # converge only linearly in the panel width, so refinement stops
-        # short of rel_tol and the kernel raises
-        step = obs.Observable(
-            eval=lambda x: x + (np.asarray(x) > 1.3),
-            deriv=lambda x: np.ones_like(x),
-            label="x + step",
-        )
-        s = obs.ObservableSet(k=1, items=(step,), family_tag="CUSTOM")
-        with pytest.raises(QuadratureError, match="halvings"):
-            quad.moments(s, [0.0])
+    def test_unconverged_refinement_raises_after_fixed_halvings(self, monkeypatch):
+        # the log-weight of a power set is entire in t, so no input is
+        # known to miss the tolerance; two grids that never agree stand
+        # in for one, and the kernel raises instead of returning
+        calls = []
+
+        def never(*args):
+            calls.append(args)
+            return False
+
+        monkeypatch.setattr(quad, "_grids_agree", never)
+        with pytest.raises(QuadratureError, match="after 4 halvings"):
+            quad.moments(S12, [0.0, 0.0])
+        assert len(calls) == quad._GRID_HALVINGS + 1
