@@ -7,21 +7,21 @@ Subcommands (each takes --config PATH, optional --seed and --out):
   classify    phase report as JSON
   rate        rate-function scan in the last coordinate as CSV
   sample      shell chains over the (n, delta) grid: per-cell sample CSV
-              plus summary and tail-rate diagnostics
+              with a JSON sidecar, plus summary and tail-rate diagnostics
   bruteforce  exact small-n marginal table as CSV
   verify      config-scoped verification suite, pass/fail JSON
 
-All result files are a pure function of (config, seed): floats are
-serialized with repr and JSON keys are sorted, so re-running a config
-reproduces byte-identical outputs.  Wall-clock timing goes to a separate
-run.log that is excluded from that guarantee.
+All result files are a pure function of (config, seed), and each format
+has one writer: _write_json here (sorted keys, indent 2, floats as repr)
+and diagnostics._write_csv ("\r\n" line ends, floats as repr), so
+re-running a config reproduces byte-identical outputs.  Wall-clock
+timing goes to a separate run.log that is excluded from that guarantee.
 
 Exit codes: 0 success, 1 configuration/validation error, 2 numerical
 failure.
 """
 
 import argparse
-import csv
 import hashlib
 import json
 import os
@@ -81,8 +81,6 @@ CONFIG_SCHEMA = {
                 "burn_in": {"type": "integer", "minimum": 0},
                 "thin": {"type": "integer", "minimum": 1},
                 "step_scale": {"type": "number", "exclusiveMinimum": 0},
-                "adapt_window": {"type": "integer", "minimum": 1},
-                "target_accept": {"type": "number"},
                 "n_states": {"type": "integer", "minimum": 1},
                 "swap_prob": {"type": "number", "minimum": 0, "maximum": 1},
             },
@@ -245,19 +243,17 @@ def _cmd_rate(config, out_dir, seed):
     if z_grid is None:
         z_grid = _default_z_grid(oset, targets)
     evals = rate.rate_scan(oset, targets[:-1], np.asarray(z_grid, dtype=float))
-    path = os.path.join(out_dir, "rate_scan.csv")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["z", "I_value"] + ["p%d" % (i + 1) for i in range(oset.k)])
-        for ev in evals:
-            z = ev.v[-1]
-            if ev.maximizer_p is None:
-                ps = [""] * oset.k
-            elif isinstance(ev.maximizer_p, str):
-                ps = [ev.maximizer_p] + [""] * (oset.k - 1)
-            else:
-                ps = [repr(float(p)) for p in ev.maximizer_p]
-            w.writerow([repr(float(z)), repr(float(ev.value))] + ps)
+    rows = (
+        [ev.v[-1], ev.value]
+        + ([ev.maximizer_p] + [""] * (oset.k - 1)
+           if isinstance(ev.maximizer_p, str) else list(ev.maximizer_p))
+        for ev in evals
+    )
+    diag._write_csv(
+        os.path.join(out_dir, "rate_scan.csv"),
+        ["z", "I_value"] + ["p%d" % (i + 1) for i in range(oset.k)],
+        rows,
+    )
     return 0
 
 
@@ -269,6 +265,23 @@ def _grid(config):
 
 def _cell_tag(n, delta):
     return "n%d_d%s" % (n, repr(delta).replace(".", "p"))
+
+
+def _sidecar(batch):
+    """Run metadata of a sample batch, written beside its CSV."""
+    spec = batch.spec
+    return {
+        "seed": batch.seed,
+        "acceptance_rate": batch.acceptance_rate,
+        "n": spec.n,
+        "delta": spec.delta,
+        "a": list(spec.a),
+        "burn_in": batch.params.burn_in,
+        "thin": batch.params.thin,
+        "n_states": int(batch.states.shape[0]),
+        "reference_p": None if batch.reference_p is None else list(batch.reference_p),
+        "step_scale_final": batch.step_scale_final,
+    }
 
 
 def _cmd_sample(config, out_dir, seed):
@@ -286,24 +299,17 @@ def _cmd_sample(config, out_dir, seed):
         spec = smp.ShellSpec(set=oset, n=n, delta=delta, a=targets)
         batch = smp.run_chain(spec, params, seed=seed + idx, reference=reference)
         tag = _cell_tag(n, delta)
-        smp.save_batch_csv(
-            batch,
-            os.path.join(out_dir, "samples_%s.csv" % tag),
-            os.path.join(out_dir, "samples_%s.json" % tag),
-        )
+        smp.save_batch_csv(batch, os.path.join(out_dir, "samples_%s.csv" % tag))
+        _write_json(os.path.join(out_dir, "samples_%s.json" % tag), _sidecar(batch))
         M, N = diag.max_stats(batch)
         ks = diag.ks_distance(batch.states.ravel(), marginal)
-        summary_rows.append(
-            {
-                "n": n,
-                "delta": delta,
-                "ks": ks,
-                "mean_M": float(np.mean(M)),
-                "mean_N": float(np.mean(N)),
-            }
-        )
+        summary_rows.append([n, delta, ks, float(np.mean(M)), float(np.mean(N))])
         batches_by_delta.setdefault(delta, []).append(batch)
-    diag.write_summary_csv(summary_rows, os.path.join(out_dir, "summary.csv"))
+    diag._write_csv(
+        os.path.join(out_dir, "summary.csv"),
+        ["n", "delta", "ks", "mean_M", "mean_N"],
+        summary_rows,
+    )
     for delta, batches in batches_by_delta.items():
         if len(batches) < 2:
             continue
@@ -326,9 +332,12 @@ def _cmd_sample(config, out_dir, seed):
                 event_label="M<=%s" % repr(level - eps),
             )
             estimates += lower
-        diag.write_tail_rates_csv(
-            estimates, os.path.join(out_dir, "tail_rates_%s.csv" % repr(delta)),
-            delta=delta,
+        diag._write_csv(
+            os.path.join(out_dir, "tail_rates_%s.csv" % repr(delta)),
+            ["n", "delta", "event", "scaling", "estimate", "ci_lo", "ci_hi"],
+            ([e.n, delta, e.event, e.scaling if e.gamma is None
+              else "%s(%g)" % (e.scaling, e.gamma), e.estimate, *e.ci]
+             for e in estimates),
         )
     return 0
 
@@ -342,13 +351,11 @@ def _cmd_bruteforce(config, out_dir, seed):
             continue
         spec = smp.ShellSpec(set=oset, n=n, delta=delta, a=targets)
         table = smp.brute_force_conditional(spec)
-        tag = _cell_tag(n, delta)
-        path = os.path.join(out_dir, "bruteforce_%s.csv" % tag)
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["x", "pdf", "cdf"])
-            for x, p, c in zip(table.x, table.pdf, table.cdf):
-                w.writerow([repr(float(x)), repr(float(p)), repr(float(c))])
+        diag._write_csv(
+            os.path.join(out_dir, "bruteforce_%s.csv" % _cell_tag(n, delta)),
+            ["x", "pdf", "cdf"],
+            zip(table.x.tolist(), table.pdf.tolist(), table.cdf.tolist()),
+        )
         wrote += 1
     if wrote == 0:
         raise ArgumentError(

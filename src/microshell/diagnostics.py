@@ -1,15 +1,19 @@
-"""Sample diagnostics: marginal distances, the order parameters and
-tail-rate estimates at the scalings n and n^gamma.
+"""Sample diagnostics: marginal distances, the order parameters,
+tail-rate estimates at the scalings n and n^gamma, and the CSV writer of
+every result table.
 
 The order parameters of a batch are two arrays with one entry per state:
-M, the largest share max_j phi_k(x_j)/n, and N, the second largest.
-The two tail scalings probe the asymmetry of M in the localized regime:
-its upper tail decays exponentially in n while its lower tail decays
-only like exp(-c n^gamma) with gamma the growth exponent of the slowest
+M, the largest share max_j phi_k(x_j)/n, and N, the second largest;
+max_stats alone computes them.  The two tail scalings probe the
+asymmetry of M in the localized regime: its upper tail decays
+exponentially in n while its lower tail decays only like
+exp(-c n^gamma) with gamma the growth exponent of the slowest
 constraint.
+
+_write_csv is the one place that decides the CSV format of result
+files: comma-separated cells, "\r\n" line ends, floats as repr.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -18,7 +22,6 @@ import numpy as np
 
 from . import quadrature as quad
 from .errors import ArgumentError
-from .sampler import DensityTable
 
 __all__ = [
     "TailRateEstimate",
@@ -28,8 +31,6 @@ __all__ = [
     "tail_rate",
     "appendix_checks",
     "default_epsilon",
-    "write_tail_rates_csv",
-    "write_summary_csv",
 ]
 
 
@@ -56,16 +57,16 @@ class AppendixReport:
 
 
 def _reference_cdf(reference, xs):
-    if isinstance(reference, DensityTable):
-        # tabulated density: cdf[i] is the mass up to cell i's right edge;
-        # a cell centre x is the geometric mean of its edges, so that edge
-        # is (w + sqrt(w^2 + 4 x^2)) / 2 for cell width w
-        x, w = reference.x, reference.widths
-        right = 0.5 * (w + np.sqrt(w * w + 4.0 * x * x))
-        grid_x = np.concatenate([[right[0] - w[0]], right])
-        grid_cdf = np.concatenate([[0.0], reference.cdf])
-        return np.interp(xs, grid_x, grid_cdf, left=0.0, right=1.0)
-    return quad.cdf(reference, xs)
+    if isinstance(reference, quad.TiltedDensity):
+        return quad.cdf(reference, xs)
+    # tabulated density: cdf[i] is the mass up to cell i's right edge;
+    # a cell centre x is the geometric mean of its edges, so that edge
+    # is (w + sqrt(w^2 + 4 x^2)) / 2 for cell width w
+    x, w = reference.x, reference.widths
+    right = 0.5 * (w + np.sqrt(w * w + 4.0 * x * x))
+    grid_x = np.concatenate([[right[0] - w[0]], right])
+    grid_cdf = np.concatenate([[0.0], reference.cdf])
+    return np.interp(xs, grid_x, grid_cdf, left=0.0, right=1.0)
 
 
 def ks_distance(samples, reference):
@@ -246,37 +247,14 @@ def _envelope_check(obs_set, d, m_idx, p_m, theta, mc_samples, seed):
     return ok
 
 
-def write_tail_rates_csv(estimates, path, delta=None):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "delta", "event", "scaling", "estimate", "ci_lo", "ci_hi"])
-        for est in estimates:
-            w.writerow(
-                [
-                    est.n,
-                    repr(float(delta)) if delta is not None else "",
-                    est.event,
-                    est.scaling if est.gamma is None
-                    else "%s(%g)" % (est.scaling, est.gamma),
-                    repr(est.estimate),
-                    repr(est.ci[0]),
-                    repr(est.ci[1]),
-                ]
-            )
+def _write_csv(path, header, rows):
+    """Write the header and then each row as one line of comma-joined
+    cells ending in "\r\n", streaming row by row.
 
-
-def write_summary_csv(rows, path):
-    """rows: dicts with keys n, delta, ks, mean_M, mean_N."""
+    Cells are Python ints, strs and floats; str of a float is its repr,
+    so the bytes equal csv.writer's for cells that need no quoting (no
+    comma, quote or line break), as every result cell is."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "delta", "ks", "mean_M", "mean_N"])
-        for r in rows:
-            w.writerow(
-                [
-                    r["n"],
-                    repr(float(r["delta"])),
-                    repr(float(r["ks"])),
-                    repr(float(r["mean_M"])),
-                    repr(float(r["mean_N"])),
-                ]
-            )
+        fh.write(",".join(header) + "\r\n")
+        for row in rows:
+            fh.write(",".join(map(str, row)) + "\r\n")

@@ -48,10 +48,7 @@ __all__ = [
     "g2",
     "classify",
     "limiting_marginal",
-    "REGIMES",
 ]
-
-REGIMES = ("EXTRANEOUS", "INTERIOR_S1", "FULL_TILT_S2", "INADMISSIBLE")
 
 _MOMENT_TOL = 1e-8
 _MAX_ITER = 200
@@ -267,11 +264,17 @@ def solve_reduced(obs_set, targets):
 
 def solve_full(obs_set, targets):
     """Match all k moments with an interior tilt (p_k < 0 for k >= 2,
-    p_1 < 1 for k == 1)."""
+    p_1 < 1 for k == 1).  Raises Infeasible at once where classify finds
+    the targets inadmissible by the floor check of _PrefixPhase."""
     k = obs_set.k
     targets = np.asarray(targets, dtype=float)
     if targets.shape != (k,) or np.any(targets <= 0):
         raise ArgumentError("need k positive targets")
+    floor = _PrefixPhase(obs_set, targets[:-1]).floor_report(targets[-1])
+    if floor is not None:
+        raise Infeasible("targets inadmissible: %s" % (
+            floor.notes[0] if floor.notes
+            else "a_k at or below the floor g1 = %r" % floor.g1))
     try:
         p, iters, stats = _match_prefix(obs_set, targets)
     except _BoundaryDrift as exc:
@@ -357,14 +360,22 @@ class _PrefixPhase:
                 "reduced solve stalled", reduced=exc.best
             ) from exc
 
-    def report(self, a_k):
+    def floor_report(self, a_k):
+        """The INADMISSIBLE report when the prefix is inadmissible or a_k
+        is at or below the floor g1, else None; no solve is run."""
         if not self.admissible:
             return PhaseReport(
                 regime="INADMISSIBLE", notes=("prefix outside admissible set",)
             )
+        if self.g1 is not None and a_k <= self.g1:
+            return PhaseReport(regime="INADMISSIBLE", g1=self.g1)
+        return None
+
+    def report(self, a_k):
+        floor = self.floor_report(a_k)
+        if floor is not None:
+            return floor
         g1v = self.g1
-        if g1v is not None and a_k <= g1v:
-            return PhaseReport(regime="INADMISSIBLE", g1=g1v)
         reduced = self.reduced
         g2v = None if reduced is None else float(reduced.achieved[-1])
         known = dict(g1=g1v, g2=g2v, reduced=reduced)

@@ -34,8 +34,6 @@ __all__ = [
     "moments",
     "covariance",
     "tilted_density",
-    "density_at",
-    "log_density_at",
     "cdf",
     "quantile",
     "log_prob_interval",
@@ -126,9 +124,9 @@ def _bracket(gfun, cut_nats, t_min=-np.inf, t_max=np.inf):
         raise QuadratureError("could not bracket the integrand support")
     for _ in range(4):
         idx = np.flatnonzero(gs > gmax - cut_nats)
-        if idx.size == 0 or ts[0] == ts[-1]:
-            # the cut is below the rounding of gmax, or the range has no
-            # width in t: nothing to integrate at this precision
+        if idx.size == 0:
+            # the cut is below the rounding of gmax: nothing to integrate
+            # at this precision
             raise QuadratureError("integrand has no resolvable support in t = log x")
         t_lo = ts[max(idx[0] - 1, 0)]
         t_hi = ts[min(idx[-1] + 1, len(ts) - 1)]
@@ -323,24 +321,6 @@ def _cdf_t(d, tvals):
     return np.clip(out, 0.0, 1.0)
 
 
-def log_density_at(d, x):
-    """Log of the Lebesgue density at x > 0 (vectorized)."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise ArgumentError("density support is (0, inf)")
-    c = d.lebesgue_coeffs
-    g = np.zeros_like(x)
-    for ci, e in zip(c, d.set.exponents):
-        if ci != 0.0:
-            g = g + ci * x ** e
-    return g - d.log_norm
-
-
-def density_at(d, x):
-    """Lebesgue density at x > 0 (vectorized)."""
-    return np.exp(log_density_at(d, x))
-
-
 def cdf(d, x):
     """CDF at x (vectorized); uses the warmed panel cache."""
     x = np.asarray(x, dtype=float)
@@ -437,11 +417,20 @@ def log_prob_interval(d, a, b):
 
     The tilt-statistics grid integrates over a bracket inside
     [log a, log b], cut relative to the integrand's maximum there, so an
-    interval deep in a tail keeps its relative accuracy."""
+    interval deep in a tail keeps its relative accuracy.  An interval
+    narrower in t than 1e10 spacings of its larger |log| end raises
+    QuadratureError: the rounding of the two logs alone would move its
+    width by more than the 1e-10 tolerance."""
     if not (0.0 <= a < b):
         raise ArgumentError("need 0 <= a < b")
     c = d.lebesgue_coeffs
     gfun = lambda t: _log_weight(d.set, c, t)
     t_min = np.log(a) if a > 0.0 else -np.inf
-    t_lo, t_hi, gmax = _bracket(gfun, _TAIL_CUT_NATS + 10.0, t_min, np.log(b))
+    t_max = np.log(b)
+    if a > 0.0 and t_max - t_min < 1e10 * np.spacing(max(abs(t_min), abs(t_max))):
+        raise QuadratureError(
+            "interval has no resolvable support in t = log x: width %r is "
+            "below 1e10 spacings of its ends" % float(t_max - t_min)
+        )
+    t_lo, t_hi, gmax = _bracket(gfun, _TAIL_CUT_NATS + 10.0, t_min, t_max)
     return _refined_stats(d.set, c, gfun, gmax, t_lo, t_hi, 0)[0] - d.log_norm

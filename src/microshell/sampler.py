@@ -15,16 +15,17 @@ Three sources of configurations:
 
 All randomness flows from an explicit per-chain seed through
 numpy's PCG64 generator; identical inputs give identical batches.
+save_batch_csv writes a batch's states through diagnostics._write_csv,
+with the order parameter from diagnostics.max_stats.
 """
 
-import csv
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from . import diagnostics as diag
 from . import dual_solver as dual
 from . import quadrature as quad
 from .errors import (
@@ -49,6 +50,11 @@ __all__ = [
     "save_batch_csv",
 ]
 
+# burn-in adapts the step after every _ADAPT_WINDOW Gaussian moves,
+# toward the acceptance rate _TARGET_ACCEPT
+_ADAPT_WINDOW = 250
+_TARGET_ACCEPT = 0.3
+
 
 @dataclass(frozen=True)
 class ShellSpec:
@@ -72,18 +78,12 @@ class ChainParams:
     burn_in: int = 20000
     thin: int = 10
     step_scale: float = 0.5
-    adapt_window: int = 250
-    target_accept: float = 0.3
     n_states: int = 1000
     # fraction of proposals that transpose two coordinates; transpositions
     # leave the shell constraints and any product reference invariant, so
     # they are always accepted and restore irreducibility when the shell
     # splits into permutation-related components
     swap_prob: float = 0.05
-
-    def __post_init__(self):
-        if not (0.0 < self.target_accept < 1.0):
-            raise ArgumentError("target_accept must lie in (0,1)")
 
 
 @dataclass
@@ -112,13 +112,13 @@ def shell_residual(spec, x):
     return float(np.max(np.abs(means - np.asarray(spec.a))))
 
 
-def _increasing_root(fn, target, hi_guess=1.0):
+def _increasing_root(fn, target):
     """Solve fn(x) = target for increasing fn on (0, inf) by bisection.
 
     For fn = x^e the root has the closed form target^(1/e), but it gives
     other bits, which would move the chain's starting point and brute
     force's caps, so result files would change."""
-    lo, hi = 1e-12, hi_guess
+    lo, hi = 1e-12, 1.0
     for _ in range(200):
         if fn(hi) >= target:
             break
@@ -134,7 +134,7 @@ def _increasing_root(fn, target, hi_guess=1.0):
     return 0.5 * (lo + hi)
 
 
-def feasible_point(spec, report=None):
+def feasible_point(spec):
     """A configuration inside the shell.
 
     Most coordinates start at quantiles of the limiting marginal; in the
@@ -142,8 +142,7 @@ def feasible_point(spec, report=None):
     n (a_k - g2) of the last observable.  A damped Gauss-Newton sweep on
     the residual vector then pulls the configuration into the shell.
     """
-    if report is None:
-        report = dual.classify(spec.set, spec.a)
+    report = dual.classify(spec.set, spec.a)
     if report.regime == "INADMISSIBLE":
         raise FeasibilityError("targets inadmissible: no shell to sample")
     marginal = dual.limiting_marginal(spec.set, spec.a, report=report)
@@ -204,7 +203,7 @@ def run_chain(spec, params, seed, reference=None):
     shell (acceptance = shell indicator, exact detailed balance for the
     symmetric proposal).  With a TiltedDensity reference the target is
     the product reference measure conditioned on the shell.  Step size
-    adapts toward target_accept during burn-in only and is frozen
+    adapts toward _TARGET_ACCEPT during burn-in only and is frozen
     afterwards, preserving exactness of the recorded states.
     """
     x0 = feasible_point(spec)
@@ -286,11 +285,11 @@ def run_chain(spec, params, seed, reference=None):
                 if gaussian:
                     win_accepts += accept
                     win_moves += 1
-                    if win_moves >= params.adapt_window:
+                    if win_moves >= _ADAPT_WINDOW:
                         win_index += 1
                         rate = win_accepts / win_moves
                         gain = 1.0 / math.sqrt(win_index)
-                        log_step += gain * (rate - params.target_accept)
+                        log_step += gain * (rate - _TARGET_ACCEPT)
                         step = math.exp(log_step)
                         win_accepts = 0
                         win_moves = 0
@@ -352,7 +351,7 @@ def sample_tilted(d, n, count, seed):
     return quad.quantile(d, u.ravel()).reshape(count, n)
 
 
-def brute_force_conditional(spec, grid_points=None, x_min=None, x_max=None):
+def brute_force_conditional(spec, grid_points=None):
     """Exact coordinate-1 marginal of the uniform measure on the shell,
     by n-dimensional log-spaced grid quadrature (midpoint rule), n <= 3.
 
@@ -365,15 +364,12 @@ def brute_force_conditional(spec, grid_points=None, x_min=None, x_max=None):
     if grid_points is None:
         grid_points = 3000 if n == 2 else 300
     a = np.asarray(spec.a)
-    if x_max is None:
-        caps = [
-            _increasing_root(lambda v, e=e: v ** e, n * (ai + spec.delta))
-            for e, ai in zip(spec.set.exponents, a)
-        ]
-        x_max = 1.0001 * min(caps)
-    if x_min is None:
-        x_min = 1e-3 * x_max
-    edges = np.geomspace(x_min, x_max, grid_points + 1)
+    caps = [
+        _increasing_root(lambda v, e=e: v ** e, n * (ai + spec.delta))
+        for e, ai in zip(spec.set.exponents, a)
+    ]
+    x_max = 1.0001 * min(caps)
+    edges = np.geomspace(1e-3 * x_max, x_max, grid_points + 1)
     centers = np.sqrt(edges[:-1] * edges[1:])
     widths = np.diff(edges)
     vals = spec.set.phi(centers)  # (k, grid)
@@ -408,45 +404,21 @@ def brute_force_conditional(spec, grid_points=None, x_min=None, x_max=None):
     return DensityTable(x=centers, pdf=pdf, cdf=cdf, widths=widths)
 
 
-def save_batch_csv(batch, csv_path, sidecar_path=None):
-    """Persist a batch: one row per state (index, coordinates, empirical
-    means, max statistic) plus a JSON sidecar with run metadata."""
+def save_batch_csv(batch, csv_path):
+    """Persist a batch as CSV: one row per state with its index, its
+    coordinates, its empirical means S_i and its max statistic M."""
     spec = batch.spec
     k = spec.set.k
-    vals = spec.set.phi(batch.states)  # (k, states, n)
-    means = vals.mean(axis=2).T
-    maxima = vals[k - 1].max(axis=1) / spec.n
-    with open(csv_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        header = (
-            ["state"]
-            + ["x%d" % (j + 1) for j in range(spec.n)]
-            + ["S%d" % (i + 1) for i in range(k)]
-            + ["max_stat"]
-        )
-        w.writerow(header)
-        for idx, (state, mean, m) in enumerate(zip(batch.states, means, maxima)):
-            w.writerow(
-                [idx]
-                + [repr(float(v)) for v in state]
-                + [repr(float(v)) for v in mean]
-                + [repr(float(m))]
-            )
-    if sidecar_path is not None:
-        side = {
-            "seed": batch.seed,
-            "acceptance_rate": batch.acceptance_rate,
-            "n": spec.n,
-            "delta": spec.delta,
-            "a": list(spec.a),
-            "burn_in": batch.params.burn_in if batch.params else None,
-            "thin": batch.params.thin if batch.params else None,
-            "n_states": int(batch.states.shape[0]),
-            "reference_p": list(batch.reference_p)
-            if batch.reference_p is not None
-            else None,
-            "step_scale_final": batch.step_scale_final,
-        }
-        with open(sidecar_path, "w") as fh:
-            json.dump(side, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+    means = spec.set.phi(batch.states).mean(axis=2).T
+    M, _ = diag.max_stats(batch)
+    header = (
+        ["state"]
+        + ["x%d" % (j + 1) for j in range(spec.n)]
+        + ["S%d" % (i + 1) for i in range(k)]
+        + ["max_stat"]
+    )
+    rows = (
+        [idx] + state.tolist() + mean.tolist() + [m]
+        for idx, (state, mean, m) in enumerate(zip(batch.states, means, M.tolist()))
+    )
+    diag._write_csv(csv_path, header, rows)

@@ -5,6 +5,9 @@ import os
 import pytest
 
 from microshell import cli
+from microshell import observables as obs
+from microshell import quadrature as quad
+from microshell import sampler as smp
 from microshell.errors import ArgumentError
 
 
@@ -133,6 +136,17 @@ class TestSolveCommand:
         assert payload["reduced"]["error"] == "ArgumentError"
         assert float(payload["full"]["p"][0]) == pytest.approx(0.75, abs=1e-6)
 
+    def test_target_below_the_floor_writes_reduced_and_infeasible_full(self, tmp_path):
+        # POWERS[1, 2, 4] at (1, 1.2, 1.6): a_3 is below the floor 1.2^3
+        cfg = base_config(mode="SOLVE", targets=[1.0, 1.2, 1.6])
+        cfg["observables"]["exponents"] = [1, 2, 4]
+        path = write_config(tmp_path, cfg)
+        out = str(tmp_path / "out")
+        assert cli.main(["solve", "--config", path, "--out", out]) == 0
+        payload = json.loads((tmp_path / "out" / "solve.json").read_text())
+        assert float(payload["reduced"]["achieved"][2]) == pytest.approx(2.382, abs=1e-3)
+        assert payload["full"]["error"] == "Infeasible"
+
 
 class TestRateCommand:
     def test_scan_csv(self, tmp_path):
@@ -201,7 +215,24 @@ class TestSampleCommand:
         sidecar = json.loads(
             (tmp_path / "out" / "samples_n8_d0p2.json").read_text()
         )
-        assert sidecar["reference_p"] == [0.0, 0.0]
+        # the same chain run directly gives every sidecar value
+        oset = obs.power_set([1, 2])
+        spec = smp.ShellSpec(set=oset, n=8, delta=0.2, a=(1.0, 3.0))
+        params = smp.ChainParams(burn_in=1000, thin=4, n_states=50)
+        reference = quad.tilted_density(oset, [0.0, 0.0])
+        batch = smp.run_chain(spec, params, seed=7, reference=reference)
+        assert sidecar == {
+            "seed": 7,
+            "acceptance_rate": batch.acceptance_rate,
+            "n": 8,
+            "delta": 0.2,
+            "a": [1.0, 3.0],
+            "burn_in": 1000,
+            "thin": 4,
+            "n_states": 50,
+            "reference_p": [0.0, 0.0],
+            "step_scale_final": batch.step_scale_final,
+        }
 
 
 CONFIGS = sorted(

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -248,15 +249,47 @@ class TestCSVWriters:
         ests = diag.tail_rate(batches, lambda M: M > 0.1, "LINEAR_N",
                               event_label="e")
         path = tmp_path / "t.csv"
-        diag.write_tail_rates_csv(ests, str(path), delta=0.1)
+        diag._write_csv(
+            str(path),
+            ["n", "delta", "event", "scaling", "estimate", "ci_lo", "ci_hi"],
+            ([e.n, 0.1, e.event, e.scaling, e.estimate, *e.ci] for e in ests),
+        )
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "n,delta,event,scaling,estimate,ci_lo,ci_hi"
         assert len(lines) == 3
+        assert lines[1] == "16,0.1,e,LINEAR_N,%r,%r,%r" % (
+            ests[0].estimate, *ests[0].ci)
 
     def test_summary_csv(self, tmp_path):
-        rows = [{"n": 4, "delta": 0.1, "ks": 0.01, "mean_M": 0.5, "mean_N": 0.2}]
+        rows = [[4, 0.1, 0.01, 0.5, 0.2]]
         path = tmp_path / "s.csv"
-        diag.write_summary_csv(rows, str(path))
+        diag._write_csv(str(path), ["n", "delta", "ks", "mean_M", "mean_N"], rows)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "n,delta,ks,mean_M,mean_N"
         assert lines[1].startswith("4,0.1,0.01")
+
+
+class TestCSVWriter:
+    def test_bytes_match_csv_writer_on_repr_cells(self, tmp_path):
+        # every result table used to be written by csv.writer with floats
+        # as repr strings; _write_csv must give the same bytes
+        rng = np.random.Generator(np.random.PCG64(7))
+        floats = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e16, 1e-5, 1 / 3]
+        floats += rng.standard_normal(600).tolist()
+        floats += (rng.random(600) * 10.0 ** rng.integers(-300, 300, 600)).tolist()
+        labels = ["BOUNDARY", "", "M>=0.2", "POWER_GAMMA(0.5)"]
+        rows = [
+            [i, labels[i % 4]] + floats[3 * i : 3 * i + 3]
+            for i in range(len(floats) // 3)
+        ]
+        header = ["n", "event", "estimate", "ci_lo", "ci_hi"]
+        got = tmp_path / "got.csv"
+        diag._write_csv(str(got), header, iter(rows))
+        want = tmp_path / "want.csv"
+        with open(want, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            for row in rows:
+                w.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        assert got.read_bytes() == want.read_bytes()
+        assert got.read_bytes().count(b"\r\n") == len(rows) + 1

@@ -99,6 +99,22 @@ class TestFullSolve:
         assert np.allclose(sol.achieved, [1.0, 2.5, 7.0], atol=1e-8)
         assert sol.p[2] < 0
 
+    @pytest.mark.parametrize(
+        "exponents, targets, reason",
+        [
+            ((1, 2), (1.0, 0.9), "at or below the floor g1"),
+            ((1, 2, 3), (1.0, 2.5, 5.0), "at or below the floor g1"),
+            ((1, 2, 4), (1.0, 1.2, 1.6), "at or below the floor g1"),
+            # v_2 = v_1^2 is the Jensen floor of a k = 3 prefix
+            ((1, 2, 3), (1.0, 1.0, 7.0), "prefix outside admissible set"),
+        ],
+        ids=["S12", "S123", "S124", "S123-prefix"],
+    )
+    def test_below_the_floor_is_infeasible_at_once(self, exponents, targets, reason):
+        # classify's floor check, where the Newton loop used to stall
+        with pytest.raises(Infeasible, match=reason):
+            dual.solve_full(obs.power_set(exponents), targets)
+
     def test_k1(self):
         sol = dual.solve_full(S2, (2.0,))
         assert sol.achieved[0] == pytest.approx(2.0, abs=1e-7)

@@ -211,6 +211,13 @@ class TestTiltedDensity:
         with pytest.raises(QuadratureError, match="no resolvable support"):
             quad.log_prob_interval(d, 1e10, math.nextafter(1e10, math.inf))
 
+    def test_log_prob_interval_narrow_in_log_x_raises(self):
+        # log a and log b are 12 ulps apart: the integral between the
+        # rounded logs gave -1025.265 where the exact value is -1025.328
+        d = quad.tilted_density(S12, [0.0, 0.0])
+        with pytest.raises(QuadratureError, match="below 1e10 spacings"):
+            quad.log_prob_interval(d, 1e3, 1e3 * (1.0 + 1e-14))
+
     def test_log_prob_interval_below_rounding_of_its_maximum_raises(self):
         # near t = log 1e30 the log-weight is about -1e30, so its maximum
         # minus the tail cut rounds back to the maximum

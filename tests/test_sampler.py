@@ -1,4 +1,4 @@
-import json
+import os
 
 import numpy as np
 import pytest
@@ -160,21 +160,19 @@ class TestMergeAndSave:
         with pytest.raises(ArgumentError):
             smp.merge_batches([])
 
-    def test_save_csv_and_sidecar(self, tmp_path):
+    def test_save_csv(self, tmp_path):
         spec = spec12(n=4)
         params = smp.ChainParams(burn_in=500, thin=5, n_states=10)
         batch = smp.run_chain(spec, params, seed=5)
         csv_path = tmp_path / "batch.csv"
-        side_path = tmp_path / "batch.json"
-        smp.save_batch_csv(batch, str(csv_path), str(side_path))
+        smp.save_batch_csv(batch, str(csv_path))
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0].split(",") == [
             "state", "x1", "x2", "x3", "x4", "S1", "S2", "max_stat",
         ]
         assert len(lines) == 11
-        side = json.loads(side_path.read_text())
-        assert side["seed"] == 5
-        assert side["n"] == 4
+        assert lines[1].split(",")[:5] == ["0"] + [repr(v) for v in batch.states[0].tolist()]
+        assert os.listdir(tmp_path) == ["batch.csv"]
 
     def test_statistic_columns_match_per_state_values(self, tmp_path):
         # the S_i and max_stat columns, computed for the whole batch at
