@@ -41,19 +41,16 @@ from .errors import ArgumentError, Infeasible, MicroshellError, NoFullTilt
 
 __all__ = ["main", "load_config", "run", "CONFIG_SCHEMA"]
 
-_MODES = ["SOLVE", "CLASSIFY", "RATE", "SAMPLE", "BRUTEFORCE", "VERIFY", "VALIDATE"]
-
 CONFIG_SCHEMA = {
     "type": "object",
-    "required": ["observables", "targets", "mode"],
+    "required": ["observables", "targets"],
     "additionalProperties": False,
     "properties": {
         "observables": {
             "type": "object",
-            "required": ["family", "exponents"],
+            "required": ["exponents"],
             "additionalProperties": False,
             "properties": {
-                "family": {"enum": ["POWERS"]},
                 "exponents": {
                     "type": "array",
                     "minItems": 1,
@@ -93,7 +90,6 @@ CONFIG_SCHEMA = {
         },
         "seed": {"type": "integer"},
         "output_dir": {"type": "string"},
-        "mode": {"enum": _MODES},
     },
 }
 
@@ -124,12 +120,6 @@ def load_config(path):
             "config field 'targets': expected %d values to match the %d "
             "observables, got %d" % (k, k, len(raw["targets"]))
         )
-    if raw["mode"] in ("SAMPLE", "VERIFY"):
-        if not raw.get("n_list") or not raw.get("delta_list"):
-            raise ArgumentError(
-                "config field 'n_list'/'delta_list': must be non-empty in "
-                "%s mode" % raw["mode"]
-            )
     return raw
 
 
@@ -258,9 +248,9 @@ def _cmd_rate(config, out_dir, seed):
 
 
 def _grid(config):
-    n_list = config.get("n_list") or [64]
-    delta_list = config.get("delta_list") or [0.1]
-    return [(int(n), float(d)) for n in n_list for d in delta_list]
+    """The (n, delta) cells: every n of n_list with every delta of delta_list."""
+    return [(int(n), float(d)) for n in config.get("n_list", [])
+            for d in config.get("delta_list", [])]
 
 
 def _cell_tag(n, delta):
@@ -285,6 +275,11 @@ def _sidecar(batch):
 
 
 def _cmd_sample(config, out_dir, seed):
+    cells = _grid(config)
+    if not cells:
+        raise ArgumentError(
+            "config field 'n_list'/'delta_list': sample needs a non-empty grid"
+        )
     oset = _obs_set(config)
     targets = tuple(float(v) for v in config["targets"])
     params = _chain_params(config)
@@ -294,8 +289,8 @@ def _cmd_sample(config, out_dir, seed):
     if config.get("target_measure", "uniform") == "conditioned":
         reference = quad.tilted_density(oset, [0.0] * oset.k)
     summary_rows = []
-    batches_by_delta = {}
-    for idx, (n, delta) in enumerate(_grid(config)):
+    maxima_by_delta = {}
+    for idx, (n, delta) in enumerate(cells):
         spec = smp.ShellSpec(set=oset, n=n, delta=delta, a=targets)
         batch = smp.run_chain(spec, params, seed=seed + idx, reference=reference)
         tag = _cell_tag(n, delta)
@@ -304,20 +299,20 @@ def _cmd_sample(config, out_dir, seed):
         M, N = diag.max_stats(batch)
         ks = diag.ks_distance(batch.states.ravel(), marginal)
         summary_rows.append([n, delta, ks, float(np.mean(M)), float(np.mean(N))])
-        batches_by_delta.setdefault(delta, []).append(batch)
+        maxima_by_delta.setdefault(delta, []).append((n, M))
     diag._write_csv(
         os.path.join(out_dir, "summary.csv"),
         ["n", "delta", "ks", "mean_M", "mean_N"],
         summary_rows,
     )
-    for delta, batches in batches_by_delta.items():
-        if len(batches) < 2:
+    for delta, maxima in maxima_by_delta.items():
+        if len(maxima) < 2:
             continue
         g2v = report.g2
         eps = diag.default_epsilon(targets[-1], g2v)
         level = (targets[-1] - g2v) if (g2v is not None and targets[-1] > g2v) else 0.0
         upper = diag.tail_rate(
-            batches,
+            maxima,
             lambda M: M >= level + eps,
             "LINEAR_N",
             event_label="M>=%s" % repr(level + eps),
@@ -325,7 +320,7 @@ def _cmd_sample(config, out_dir, seed):
         estimates = list(upper)
         if oset.gamma is not None and level > 0:
             lower = diag.tail_rate(
-                batches,
+                maxima,
                 lambda M: M <= level - eps,
                 "POWER_GAMMA",
                 gamma=oset.gamma[0],

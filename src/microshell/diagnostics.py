@@ -111,25 +111,24 @@ def _wilson(successes, trials, z=1.96):
     return max(center - half, 0.0), min(center + half, 1.0)
 
 
-def tail_rate(batches, event, scaling, gamma=None, event_label=""):
+def tail_rate(maxima, event, scaling, gamma=None, event_label=""):
     """(1/g(n)) log of the empirical event probability across an n-sweep.
 
-    event maps the M array of max_stats to a boolean array.
+    maxima holds one (n, M) pair per n, M the order-parameter array of
+    max_stats; event maps M to a boolean array.
     scaling "LINEAR_N" uses g(n) = n, "POWER_GAMMA" uses g(n) = n^gamma.
     A zero count is reported as the censored plug-in 1/trials.
     """
-    if len(batches) < 2:
+    if len(maxima) < 2:
         raise ArgumentError("need at least two values of n")
     if scaling == "POWER_GAMMA" and gamma is None:
         raise ArgumentError("POWER_GAMMA scaling needs gamma")
     out = []
-    for batch in batches:
-        M, _ = max_stats(batch)
+    for n, M in maxima:
         trials = M.size
         if trials == 0:
             raise ArgumentError("batch has zero recorded states")
         successes = int(np.count_nonzero(event(M)))
-        n = batch.spec.n
         g = float(n) if scaling == "LINEAR_N" else float(n) ** gamma
         censored = successes == 0
         p_hat = successes / trials if not censored else 1.0 / trials

@@ -232,16 +232,14 @@ def solve_reduced(obs_set, targets):
     if targets.shape != (k - 1,) or np.any(targets <= 0):
         raise ArgumentError("need k-1 positive targets")
     m = k - 1
-    best = None
     for level in range(m, 0, -1):
         try:
             p, iters, stats = _match_prefix(obs_set, targets[:level])
         except _BoundaryDrift:
             continue
         except _AscentDiverged as exc:
-            raise Infeasible("targets unreachable: %s" % exc, best=best) from exc
+            raise Infeasible("targets unreachable: %s" % exc) from exc
         sol = _solution(p, stats, targets, level, iters)
-        best = sol
         extra = np.asarray(sol.achieved[level:m]) - targets[level:m]
         if np.all(np.abs(extra) <= 1e-6):
             return sol
@@ -252,14 +250,13 @@ def solve_reduced(obs_set, targets):
                     int(np.argmax(extra < -1e-6)) + level + 1,
                     sol.achieved[level:m][int(np.argmax(extra < -1e-6))],
                     targets[level:m][int(np.argmax(extra < -1e-6))],
-                ),
-                best=best,
+                )
             )
         raise SolverStall(
             "boundary face overshoots a matched target; no reduced solution found",
-            best=best,
+            best=sol,
         )
-    raise Infeasible("all boundary faces drifted; prefix lies in S2", best=best)
+    raise Infeasible("all boundary faces drifted; prefix lies in S2")
 
 
 def solve_full(obs_set, targets):

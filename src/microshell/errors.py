@@ -25,10 +25,6 @@ class Infeasible(MicroshellError):
     """The reduced moment-matching problem has no solution (S2 prefix or
     inadmissible targets)."""
 
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
-
 
 class SolverStall(MicroshellError):
     """Newton iteration hit its cap without converging or certifying
@@ -42,10 +38,6 @@ class SolverStall(MicroshellError):
 class NoFullTilt(MicroshellError):
     """No interior tilt with negative last coordinate matches all moments;
     numerical signature of the extraneous regime."""
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
 
 
 class ClassificationInconclusive(MicroshellError):

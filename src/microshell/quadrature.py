@@ -8,9 +8,13 @@ One rule integrates: a composite Gauss-Legendre grid in t, refined
 until two grids agree to 1e-10 relative.  It gives the statistics of a
 tilt (log Z, moments, covariance) over the bracketed support, and
 interval probabilities over the part of the interval within the tail
-cut of the interval's own maximum.  A tilted density caches its CDF on
-a fixed panel grid; quantile inverts that grid by safeguarded Newton in
-t inside each point's panel, to 1e-10 in probability.
+cut of the interval's own maximum.  A tilted density holds its CDF
+grid, fixed panels in t filled once at construction.  One partial-panel
+Gauss-Legendre integral builds that grid, completes cdf inside a
+point's panel, and is the residual that quantile drives to zero by
+safeguarded Newton in t, to 1e-10 in probability.  cdf and quantile
+take their points in blocks of 8192, so the (points, nodes) temporaries
+stay bounded.
 
 The reference measure is lambda = (1/Z) exp(-phi_1(x)) dx, so a tilt
 vector p corresponds to the Lebesgue density
@@ -21,7 +25,7 @@ with Lebesgue coefficients c_1 = p_1 - 1 and c_i = p_i for i >= 2.
 """
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +54,7 @@ _CDF_PANELS = 1024
 _QUANTILE_STEP = 1e-9
 _QUANTILE_RESIDUAL = 1e-13
 _QUANTILE_ROUNDS = 64
-_QUANTILE_BLOCK = 8192  # points per Newton block: bounds the temporaries
+_BLOCK = 8192  # points per cdf or quantile block: bounds the temporaries
 
 
 def lebesgue_coefficients(obs_set, p):
@@ -242,87 +246,79 @@ class TiltedDensity:
     """Exponential-family density against Lebesgue measure on (0, inf).
 
     density(x) = exp(sum_i p_i phi_i(x) - phi_1(x)) / Z_tilde, with
-    log_norm = log Z_tilde.  A CDF cache is built once at construction
-    (single-threaded warm-up); afterwards cdf/quantile calls are pure.
+    log_norm = log Z_tilde.  The CDF grid, filled by tilted_density:
+    panel edges in t = log x, each panel's integral of exp(g - gmax),
+    and their running sums from the left (cum) and the right (tail).
     """
 
     set: object
     p: tuple
     log_norm: float
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    lebesgue_coeffs: np.ndarray
+    gmax: float
+    edges: np.ndarray
+    panel_ints: np.ndarray
+    cum: np.ndarray
+    tail: np.ndarray
 
-    @property
-    def lebesgue_coeffs(self):
-        return lebesgue_coefficients(self.set, self.p)
+
+def _panel_integral(obs_set, c, gmax, a, t):
+    """Signed Gauss-Legendre integral of exp(g - gmax) from each panel
+    edge a to t, g the log-weight of the Lebesgue coefficients c."""
+    half = 0.5 * (t - a)
+    tt = (0.5 * (t + a))[..., None] + half[..., None] * _GL_NODES
+    return half * (np.exp(_log_weight(obs_set, c, tt) - gmax) @ _GL_WEIGHTS)
 
 
 def tilted_density(obs_set, p):
-    """Construct a normalized TiltedDensity, warming its CDF cache."""
+    """Construct a normalized TiltedDensity with its CDF grid."""
     c = _checked_coefficients(obs_set, p)
     log_norm = _tilt_stats(obs_set, c, 0)[0]
-    d = TiltedDensity(set=obs_set, p=tuple(float(v) for v in p), log_norm=log_norm)
-    _warm_cdf_cache(d, c)
-    return d
-
-
-def _warm_cdf_cache(d, c):
-    gfun = lambda t: _log_weight(d.set, c, t)
+    gfun = lambda t: _log_weight(obs_set, c, t)
     t_lo, t_hi, gmax = _bracket(gfun, _TAIL_CUT_NATS + 20.0)
     edges = np.linspace(t_lo, t_hi, _CDF_PANELS + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halves = 0.5 * (edges[1:] - edges[:-1])
-    # (panels, nodes) evaluation of the scaled integrand
-    tt = mids[:, None] + halves[:, None] * _GL_NODES[None, :]
-    vals = np.exp(gfun(tt) - gmax)
-    panel_ints = halves * (vals @ _GL_WEIGHTS)
+    panel_ints = _panel_integral(obs_set, c, gmax, edges[:-1], edges[1:])
     cum = np.concatenate([[0.0], np.cumsum(panel_ints)])
-    # mass of the last j panels, summed from the right: 1 - u is exact
-    # for u >= 1/2, so the upper half is inverted without cancellation
-    tail = np.concatenate([[0.0], np.cumsum(panel_ints[::-1])])
-    total = cum[-1]
-    if total <= 0.0:
-        raise QuadratureError("CDF cache underflowed")
-    d._cache.update(
-        {
-            "edges": edges,
-            "cum": cum,
-            "tail": tail,
-            "panel_ints": panel_ints,
-            "total": total,
-            "gmax": gmax,
-            "c": c,
-        }
+    if cum[-1] <= 0.0:
+        raise QuadratureError("CDF grid underflowed")
+    return TiltedDensity(
+        set=obs_set,
+        p=tuple(float(v) for v in p),
+        log_norm=log_norm,
+        lebesgue_coeffs=c,
+        gmax=gmax,
+        edges=edges,
+        panel_ints=panel_ints,
+        cum=cum,
+        # mass of the last j panels, summed from the right: 1 - u is exact
+        # for u >= 1/2, so the upper half is inverted without cancellation
+        tail=np.concatenate([[0.0], np.cumsum(panel_ints[::-1])]),
     )
+
+
+def _blockwise(fn, d, vals):
+    """fn(d, block) over consecutive _BLOCK-point blocks of the 1-d vals:
+    bounds the (points, nodes) temporaries of a panel integral."""
+    out = np.empty(vals.size)
+    for s in range(0, vals.size, _BLOCK):
+        out[s : s + _BLOCK] = fn(d, vals[s : s + _BLOCK])
+    return out
 
 
 def _cdf_t(d, tvals):
-    """Vectorized CDF evaluated at t = log(x)."""
-    cache = d._cache
-    edges, cum, total, gmax, c = (
-        cache["edges"],
-        cache["cum"],
-        cache["total"],
-        cache["gmax"],
-        cache["c"],
-    )
-    tvals = np.asarray(tvals, dtype=float)
+    """CDF at t = log(x), for a 1-d block."""
+    edges = d.edges
     t = np.clip(tvals, edges[0], edges[-1])
     idx = np.clip(np.searchsorted(edges, t, side="right") - 1, 0, len(edges) - 2)
-    lo = edges[idx]
-    mid = 0.5 * (lo + t)
-    half = 0.5 * (t - lo)
-    tt = mid[..., None] + half[..., None] * _GL_NODES
-    gfun = lambda z: _log_weight(d.set, c, z)
-    vals = np.exp(gfun(tt) - gmax)
-    partial = half * (vals @ _GL_WEIGHTS)
-    out = (cum[idx] + partial) / total
+    partial = _panel_integral(d.set, d.lebesgue_coeffs, d.gmax, edges[idx], t)
+    out = (d.cum[idx] + partial) / d.cum[-1]
     out = np.where(tvals <= edges[0], 0.0, out)
     out = np.where(tvals >= edges[-1], 1.0, out)
     return np.clip(out, 0.0, 1.0)
 
 
 def cdf(d, x):
-    """CDF at x (vectorized); uses the warmed panel cache."""
+    """CDF at x (vectorized), read off the density's CDF grid."""
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ArgumentError("CDF argument must be finite")
@@ -330,16 +326,16 @@ def cdf(d, x):
         raise ArgumentError("CDF argument must be nonnegative")
     with np.errstate(divide="ignore"):
         t = np.where(x > 0, np.log(np.maximum(x, 1e-300)), -np.inf)
-    return _cdf_t(d, t)
+    # [()] makes a 0-d result a scalar
+    return _blockwise(_cdf_t, d, t.ravel()).reshape(x.shape)[()]
 
 
 def _newton_t(d, u):
     """log of the quantiles at u (a 1-d block), before the monotone pass."""
-    cache = d._cache
-    edges, cum, tail, gmax = cache["edges"], cache["cum"], cache["tail"], cache["gmax"]
-    gfun = lambda z: _log_weight(d.set, cache["c"], z)
+    oset, c, gmax = d.set, d.lebesgue_coeffs, d.gmax
+    edges, cum, tail = d.edges, d.cum, d.tail
     upper = u > 0.5
-    mass = np.where(upper, 1.0 - u, u) * cache["total"]
+    mass = np.where(upper, 1.0 - u, u) * cum[-1]
     last = len(edges) - 2
     # below 1/2: cum[i] < mass <= cum[i + 1], counted from edges[i];
     # above: tail[j] <= mass < tail[j + 1], panel last - j, counted
@@ -350,26 +346,21 @@ def _newton_t(d, u):
     lo, hi = edges[idx], edges[idx + 1]
     anchor = np.where(upper, hi, lo)
     target = np.where(upper, tail[j] - mass, mass - cum[i])
-    t = np.clip(anchor + target / cache["panel_ints"][idx] * (hi - lo), lo, hi)
+    t = np.clip(anchor + target / d.panel_ints[idx] * (hi - lo), lo, hi)
     tol = _QUANTILE_RESIDUAL * mass
     active = np.arange(u.size)
     for _ in range(_QUANTILE_ROUNDS):
         if active.size == 0:
             break
-        ta, ea = t[active], anchor[active]
-        half = 0.5 * (ta - ea)
-        tt = np.concatenate(
-            [(0.5 * (ta + ea))[:, None] + half[:, None] * _GL_NODES, ta[:, None]],
-            axis=1,
-        )
-        vals = np.exp(gfun(tt) - gmax)
-        r = half * (vals[:, :-1] @ _GL_WEIGHTS) - target[active]
+        ta = t[active]
+        r = _panel_integral(oset, c, gmax, anchor[active], ta) - target[active]
+        density = np.exp(_log_weight(oset, c, ta) - gmax)
         below = r < 0.0
         a = np.where(below, ta, lo[active])
         b = np.where(below, hi[active], ta)
         lo[active], hi[active] = a, b
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = -r / vals[:, -1]
+            step = -r / density
         newton = (ta + step > a) & (ta + step < b)
         fit = np.abs(r) <= tol[active]
         t[active] = np.where(fit, ta, np.where(newton, ta + step, 0.5 * (a + b)))
@@ -382,17 +373,19 @@ def quantile(d, u):
     """Monotone inverse of the CDF (vectorized), to 1e-10 absolute
     tolerance in probability (a residual below 1e-13 of min(u, 1 - u)).
 
-    One searchsorted finds each point's panel of the cached grid, from
+    One searchsorted finds each point's panel of the CDF grid, from
     the left for u <= 1/2 and from the right above, so no tail is read
     off a difference near 1.  Safeguarded Newton in t = log x then
     solves for the panel's partial Gauss-Legendre integral, whose
     derivative is the density: a step leaving the point's bracket, or
     dividing by a zero density, is a bisection step.  A point stops on
-    a step or bracket below 1e-9 in t or on the residual bound; points
-    are independent, so a running maximum in u order keeps the result
-    monotone.
+    a step or bracket below 1e-9 in t or on the residual bound.  A
+    running maximum in u order keeps the result monotone, and each run
+    of equal u takes the run's last value: the matrix-vector product of
+    the Gauss-Legendre sum can round a point by its row, so equal u may
+    differ in the last bit before this pass.
 
-    No value falls below the cached grid's lower edge, about 80 nats
+    No value falls below the CDF grid's lower edge, about 80 nats
     below the log-weight's peak: for exp(1), quantile(d, 1e-300) is
     6.4e-36 and the relative error in x is 6.4e-9 at u = 1e-27, though
     the 1e-10 bound in probability holds (callers clip u at 1e-16).
@@ -403,11 +396,11 @@ def quantile(d, u):
     if np.any((u_arr <= 0.0) | (u_arr >= 1.0)):
         raise ArgumentError("quantile argument must lie in (0, 1)")
     uf = u_arr.ravel()
-    t = np.empty(uf.size)
-    for s in range(0, uf.size, _QUANTILE_BLOCK):
-        t[s : s + _QUANTILE_BLOCK] = _newton_t(d, uf[s : s + _QUANTILE_BLOCK])
+    t = _blockwise(_newton_t, d, uf)
     order = np.argsort(uf, kind="stable")
-    t[order] = np.maximum.accumulate(t[order])
+    su = uf[order]
+    last = np.searchsorted(su, su, side="right") - 1  # end of each run of equal u
+    t[order] = np.maximum.accumulate(t[order])[last]
     out = np.exp(t).reshape(u_arr.shape)
     return float(out) if u_arr.ndim == 0 else out
 

@@ -275,12 +275,12 @@ class TestLocalizationOrderParameters:
 class TestTailScalings:
     EPS = 0.3
 
-    def _batches(self, sweep):
-        return [sweep[n] for n in (128, 256, 512)]
+    def _maxima(self, sweep):
+        return [(n, diag.max_stats(sweep[n])[0]) for n in (128, 256, 512)]
 
     def test_upper_tail_linear_rate_persists(self, localized_sweep):
         ests = diag.tail_rate(
-            self._batches(localized_sweep),
+            self._maxima(localized_sweep),
             lambda M: M >= 1.0 + self.EPS,
             "LINEAR_N",
         )
@@ -291,7 +291,7 @@ class TestTailScalings:
 
     def test_lower_tail_sqrt_rate_persists(self, localized_sweep):
         ests = diag.tail_rate(
-            self._batches(localized_sweep),
+            self._maxima(localized_sweep),
             lambda M: M <= 1.0 - self.EPS,
             "POWER_GAMMA",
             gamma=0.5,
@@ -302,7 +302,7 @@ class TestTailScalings:
 
     def test_lower_tail_linear_rate_vanishes(self, localized_sweep):
         ests = diag.tail_rate(
-            self._batches(localized_sweep),
+            self._maxima(localized_sweep),
             lambda M: M <= 1.0 - self.EPS,
             "LINEAR_N",
         )
@@ -345,12 +345,11 @@ class TestIntervalInequalities:
 class TestDeterminism:
     def test_repeated_verify_runs_are_byte_identical(self, tmp_path):
         cfg = {
-            "observables": {"family": "POWERS", "exponents": [1, 2]},
+            "observables": {"exponents": [1, 2]},
             "targets": [1.0, 1.6],
             "n_list": [2],
             "delta_list": [0.15],
             "seed": 20240905,
-            "mode": "VERIFY",
         }
         path = tmp_path / "verify.json"
         path.write_text(json.dumps(cfg))

@@ -13,9 +13,8 @@ from microshell.errors import ArgumentError
 
 def base_config(**overrides):
     cfg = {
-        "observables": {"family": "POWERS", "exponents": [1, 2]},
+        "observables": {"exponents": [1, 2]},
         "targets": [1.0, 3.0],
-        "mode": "CLASSIFY",
         "seed": 7,
     }
     cfg.update(overrides)
@@ -31,8 +30,7 @@ def write_config(tmp_path, cfg, name="cfg.json"):
 class TestLoadConfig:
     def test_valid_minimal(self, tmp_path):
         path = write_config(tmp_path, base_config())
-        cfg = cli.load_config(path)
-        assert cfg["mode"] == "CLASSIFY"
+        assert cli.load_config(path) == base_config()
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ArgumentError, match="cannot read config"):
@@ -51,9 +49,10 @@ class TestLoadConfig:
         with pytest.raises(ArgumentError, match="observables.exponents.1"):
             cli.load_config(path)
 
-    def test_bad_mode_enum(self, tmp_path):
-        path = write_config(tmp_path, base_config(mode="FROBNICATE"))
-        with pytest.raises(ArgumentError, match="mode"):
+    def test_stale_mode_field_rejected(self, tmp_path):
+        # the subcommand alone decides what runs; configs name no mode
+        path = write_config(tmp_path, base_config(mode="SAMPLE"))
+        with pytest.raises(ArgumentError, match="Additional properties.*'mode'"):
             cli.load_config(path)
 
     def test_unknown_top_level_key_rejected(self, tmp_path):
@@ -64,11 +63,6 @@ class TestLoadConfig:
     def test_targets_length_mismatch(self, tmp_path):
         path = write_config(tmp_path, base_config(targets=[1.0]))
         with pytest.raises(ArgumentError, match="targets"):
-            cli.load_config(path)
-
-    def test_sample_mode_requires_grid(self, tmp_path):
-        path = write_config(tmp_path, base_config(mode="SAMPLE"))
-        with pytest.raises(ArgumentError, match="n_list"):
             cli.load_config(path)
 
 
@@ -87,15 +81,20 @@ class TestExitCodes:
         assert manifest["command"] == "classify"
         assert manifest["seed"] == 7
 
+    def test_sample_without_grid_returns_1(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config())
+        out = str(tmp_path / "out")
+        assert cli.main(["sample", "--config", path, "--out", out]) == 1
+        assert "n_list" in capsys.readouterr().err
+
     def test_bruteforce_without_small_n_returns_1(self, tmp_path):
-        cfg = base_config(mode="BRUTEFORCE", n_list=[64], delta_list=[0.1])
+        cfg = base_config(n_list=[64], delta_list=[0.1])
         path = write_config(tmp_path, cfg)
         out = str(tmp_path / "out")
         assert cli.main(["bruteforce", "--config", path, "--out", out]) == 1
 
     def test_mixing_failure_returns_2(self, tmp_path, capsys):
         cfg = base_config(
-            mode="SAMPLE",
             targets=[1.0, 2.5],
             n_list=[8],
             delta_list=[0.05],
@@ -110,7 +109,7 @@ class TestExitCodes:
 
 class TestSolveCommand:
     def test_reduced_solves_and_full_reports_no_tilt(self, tmp_path):
-        path = write_config(tmp_path, base_config(mode="SOLVE"))
+        path = write_config(tmp_path, base_config())
         out = str(tmp_path / "out")
         assert cli.main(["solve", "--config", path, "--out", out]) == 0
         payload = json.loads((tmp_path / "out" / "solve.json").read_text())
@@ -118,7 +117,7 @@ class TestSolveCommand:
         assert payload["full"]["error"] == "NoFullTilt"
 
     def test_interior_full_solves(self, tmp_path):
-        path = write_config(tmp_path, base_config(mode="SOLVE", targets=[1.0, 1.5]))
+        path = write_config(tmp_path, base_config(targets=[1.0, 1.5]))
         out = str(tmp_path / "out")
         assert cli.main(["solve", "--config", path, "--out", out]) == 0
         payload = json.loads((tmp_path / "out" / "solve.json").read_text())
@@ -127,7 +126,7 @@ class TestSolveCommand:
         assert float(full["achieved"][0]) == pytest.approx(1.0, abs=1e-7)
 
     def test_k1_has_no_reduced(self, tmp_path):
-        cfg = base_config(mode="SOLVE", targets=[2.0])
+        cfg = base_config(targets=[2.0])
         cfg["observables"]["exponents"] = [2]
         path = write_config(tmp_path, cfg)
         out = str(tmp_path / "out")
@@ -138,7 +137,7 @@ class TestSolveCommand:
 
     def test_target_below_the_floor_writes_reduced_and_infeasible_full(self, tmp_path):
         # POWERS[1, 2, 4] at (1, 1.2, 1.6): a_3 is below the floor 1.2^3
-        cfg = base_config(mode="SOLVE", targets=[1.0, 1.2, 1.6])
+        cfg = base_config(targets=[1.0, 1.2, 1.6])
         cfg["observables"]["exponents"] = [1, 2, 4]
         path = write_config(tmp_path, cfg)
         out = str(tmp_path / "out")
@@ -150,7 +149,7 @@ class TestSolveCommand:
 
 class TestRateCommand:
     def test_scan_csv(self, tmp_path):
-        cfg = base_config(mode="RATE", z_grid=[0.5, 1.5, 2.5, 3.5])
+        cfg = base_config(z_grid=[0.5, 1.5, 2.5, 3.5])
         path = write_config(tmp_path, cfg)
         out = str(tmp_path / "out")
         assert cli.main(["rate", "--config", path, "--out", out]) == 0
@@ -168,7 +167,7 @@ class TestRateCommand:
 class TestBruteforceCommand:
     def test_table_csv(self, tmp_path):
         cfg = base_config(
-            mode="BRUTEFORCE", targets=[1.0, 1.6], n_list=[2], delta_list=[0.15]
+            targets=[1.0, 1.6], n_list=[2], delta_list=[0.15]
         )
         path = write_config(tmp_path, cfg)
         out = str(tmp_path / "out")
@@ -186,7 +185,6 @@ class TestBruteforceCommand:
 class TestSampleCommand:
     def test_grid_outputs(self, tmp_path):
         cfg = base_config(
-            mode="SAMPLE",
             n_list=[8, 16],
             delta_list=[0.2],
             chains={"burn_in": 2000, "thin": 8, "n_states": 150},
@@ -203,7 +201,6 @@ class TestSampleCommand:
 
     def test_conditioned_target_measure(self, tmp_path):
         cfg = base_config(
-            mode="SAMPLE",
             n_list=[8],
             delta_list=[0.2],
             target_measure="conditioned",
@@ -252,7 +249,7 @@ class TestValidateCommand:
 
 class TestVerifyCommand:
     CFG = dict(
-        mode="VERIFY", targets=[1.0, 1.6], n_list=[2], delta_list=[0.15], seed=11
+        targets=[1.0, 1.6], n_list=[2], delta_list=[0.15], seed=11
     )
 
     def test_passes_and_is_byte_identical(self, tmp_path):

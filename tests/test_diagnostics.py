@@ -140,41 +140,41 @@ class TestDefaultEpsilon:
 
 
 class TestTailRate:
-    def _batches(self):
+    def _maxima(self):
         rng = np.random.Generator(np.random.PCG64(6))
         out = []
         for n in (16, 32):
             states = rng.random((400, n)) + 0.05
             states[: 400 // (n // 8), -1] = math.sqrt(n)  # planted spikes
-            out.append(_fake_batch(states, n=n))
+            out.append((n, diag.max_stats(_fake_batch(states, n=n))[0]))
         return out
 
     def test_requires_two_ns(self):
         with pytest.raises(ArgumentError):
-            diag.tail_rate([self._batches()[0]], lambda M: M >= 0, "LINEAR_N")
+            diag.tail_rate([self._maxima()[0]], lambda M: M >= 0, "LINEAR_N")
 
     def test_gamma_requires_gamma(self):
         with pytest.raises(ArgumentError):
-            diag.tail_rate(self._batches(), lambda M: M >= 0, "POWER_GAMMA")
+            diag.tail_rate(self._maxima(), lambda M: M >= 0, "POWER_GAMMA")
 
     def test_estimates_nonpositive_and_ci_ordered(self):
         ests = diag.tail_rate(
-            self._batches(), lambda M: M >= 0.5, "LINEAR_N", event_label="big"
+            self._maxima(), lambda M: M >= 0.5, "LINEAR_N", event_label="big"
         )
         for e in ests:
             assert e.estimate <= 0.0
             assert e.ci[0] <= e.ci[1] <= 0.0
 
     def test_event_nesting_monotonicity(self):
-        batches = self._batches()
-        wide = diag.tail_rate(batches, lambda M: M >= 0.2, "LINEAR_N")
-        narrow = diag.tail_rate(batches, lambda M: M >= 0.8, "LINEAR_N")
+        maxima = self._maxima()
+        wide = diag.tail_rate(maxima, lambda M: M >= 0.2, "LINEAR_N")
+        narrow = diag.tail_rate(maxima, lambda M: M >= 0.8, "LINEAR_N")
         for w, nrw in zip(wide, narrow):
             assert nrw.estimate <= w.estimate + 1e-12
 
     def test_censored_zero_count(self):
         ests = diag.tail_rate(
-            self._batches(), lambda M: M > 1e9, "LINEAR_N"
+            self._maxima(), lambda M: M > 1e9, "LINEAR_N"
         )
         for e in ests:
             assert e.censored
@@ -183,7 +183,7 @@ class TestTailRate:
 
     def test_power_gamma_scaling(self):
         ests = diag.tail_rate(
-            self._batches(), lambda M: M >= 0.5, "POWER_GAMMA", gamma=0.5
+            self._maxima(), lambda M: M >= 0.5, "POWER_GAMMA", gamma=0.5
         )
         for e in ests:
             assert e.gamma == 0.5
@@ -243,10 +243,11 @@ class TestAppendixChecks:
 class TestCSVWriters:
     def test_tail_rates_csv(self, tmp_path):
         rng = np.random.Generator(np.random.PCG64(7))
-        batches = [
-            _fake_batch(rng.random((50, n)) + 0.1, n=n) for n in (16, 32)
+        maxima = [
+            (n, diag.max_stats(_fake_batch(rng.random((50, n)) + 0.1, n=n))[0])
+            for n in (16, 32)
         ]
-        ests = diag.tail_rate(batches, lambda M: M > 0.1, "LINEAR_N",
+        ests = diag.tail_rate(maxima, lambda M: M > 0.1, "LINEAR_N",
                               event_label="e")
         path = tmp_path / "t.csv"
         diag._write_csv(

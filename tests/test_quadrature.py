@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from microshell import observables as obs
 from microshell import quadrature as quad
@@ -268,9 +268,9 @@ class TestPowerPairClosedForms:
 
 
 def _bisection_quantile(d, u):
-    """Reference inverse: 64 bisection passes over the cached grid's
+    """Reference inverse: 64 bisection passes over the CDF grid's
     support, comparing the CDF at the midpoint with u."""
-    edges = d._cache["edges"]
+    edges = d.edges
     lo = np.full(np.shape(u), edges[0])
     hi = np.full(np.shape(u), edges[-1])
     for _ in range(64):
@@ -357,6 +357,8 @@ class TestQuantile:
         st.lists(st.integers(min_value=-30, max_value=30), min_size=2, max_size=30),
         st.lists(st.floats(min_value=1e-16, max_value=1.0 - 1e-16), max_size=30),
     )
+    # four equal u, which Newton alone rounds to two values of x
+    @example(which=0, base=0.17979740518726492, offsets=[0, 19, 19, 19, 19], spread=[0.5])
     def test_nondecreasing_in_u(self, densities, which, base, offsets, spread):
         # neighbours a few floats apart, plus values across (0, 1)
         u = base + np.array(offsets) * np.spacing(base)
@@ -383,6 +385,18 @@ class TestQuantile:
             q, ref = quad.quantile(d, u), _bisection_quantile(d, u)
             assert np.max(np.abs(quad.cdf(d, q) - quad.cdf(d, ref))) <= 1e-10
             assert np.max(np.abs(q / ref - 1.0)) <= 1e-9
+
+    def test_blocks_match_calls_on_slices_across_block_edges(self, densities):
+        # one call runs in blocks of _BLOCK points; slices that straddle
+        # each block edge give the same bits
+        b = quad._BLOCK
+        u = np.random.default_rng(13).random(3 * b + 17)
+        cuts = (0, b // 2, 3 * b // 2 + 1, 5 * b // 2 + 2, u.size)
+        for d in densities:
+            x = quad.quantile(d, u)
+            for fn, arg, whole in ((quad.quantile, u, x), (quad.cdf, x, quad.cdf(d, x))):
+                parts = [fn(d, arg[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+                assert np.array_equal(np.concatenate(parts), whole)
 
     def test_newton_work_per_point(self, densities, monkeypatch):
         # a bisection pass costs 15 log-weight evaluations per point and
