@@ -10,8 +10,8 @@ Three sources of configurations:
   * sample_tilted - i.i.d. coordinates from a tilted density by quantile
     inversion.
   * brute_force_conditional - exact small-n marginal of the uniform
-    measure on the shell by direct grid quadrature (midpoint rule),
-    the acceptance oracle for the chain.
+    measure on the shell by interval intersection, the acceptance
+    oracle for the chain.
 
 All randomness flows from an explicit per-chain seed through
 numpy's PCG64 generator; identical inputs give identical batches.
@@ -54,6 +54,14 @@ __all__ = [
 # toward the acceptance rate _TARGET_ACCEPT
 _ADAPT_WINDOW = 250
 _TARGET_ACCEPT = 0.3
+
+# brute force's fixed rules: Gauss-Legendre nodes per x_1 cell, uniform
+# x_2 cells and their nodes (n = 3), and the most (x_1, x_2) node pairs
+# evaluated at once
+_X1_RULE = np.polynomial.legendre.leggauss(4)
+_X2_CELLS = 400
+_X2_RULE = np.polynomial.legendre.leggauss(2)
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -115,9 +123,8 @@ def shell_residual(spec, x):
 def _increasing_root(fn, target):
     """Solve fn(x) = target for increasing fn on (0, inf) by bisection.
 
-    For fn = x^e the root has the closed form target^(1/e), but it gives
-    other bits, which would move the chain's starting point and brute
-    force's caps, so result files would change."""
+    Only feasible_point's spike uses it: the closed form target^(1/e)
+    gives other bits, which would move the chain's start and result files."""
     lo, hi = 1e-12, 1.0
     for _ in range(200):
         if fn(hi) >= target:
@@ -351,57 +358,56 @@ def sample_tilted(d, n, count, seed):
     return quad.quantile(d, u.ravel()).reshape(count, n)
 
 
-def brute_force_conditional(spec, grid_points=None):
-    """Exact coordinate-1 marginal of the uniform measure on the shell,
-    by n-dimensional log-spaced grid quadrature (midpoint rule), n <= 3.
+def _gauss_cells(edges, rule):
+    """Gauss-Legendre nodes and weights on the cells between edges,
+    flattened cell by cell."""
+    half = 0.5 * np.diff(edges)[:, None]
+    return (edges[:-1, None] + half * (rule[0] + 1.0)).ravel(), (half * rule[1]).ravel()
 
-    The default resolution (3000 cells per axis at n=2, 300 at n=3) keeps
-    the CDF discretization error of the midpoint indicator rule well
-    below the KS tolerances it is used to certify."""
+
+def brute_force_conditional(spec):
+    """Exact coordinate-1 marginal of the uniform measure on the shell,
+    n in {2, 3}.  Every phi_i increases, so with the other coordinates
+    fixed at sums s_i of phi_i, the last one lies in [max_i b_i, min_i t_i]
+    with b_i, t_i = ((n(a_i -+ delta) - s_i)_+)^(1/e_i).  Fixed
+    Gauss-Legendre rules integrate its length over x_2 (n = 3) and over
+    x_1 on 3000 (n = 2) or 300 (n = 3) log-spaced cells, the first from
+    0, so cdf at each right edge is exact to the rules; x holds the
+    cells' geometric-mean centres, pdf mass over width."""
     if spec.n not in (2, 3):
         raise ArgumentError("brute force supports n in {2, 3}")
-    n, k = spec.n, spec.set.k
-    if grid_points is None:
-        grid_points = 3000 if n == 2 else 300
+    n, k, exps = spec.n, spec.set.k, spec.set.exponents
     a = np.asarray(spec.a)
-    caps = [
-        _increasing_root(lambda v, e=e: v ** e, n * (ai + spec.delta))
-        for e, ai in zip(spec.set.exponents, a)
-    ]
-    x_max = 1.0001 * min(caps)
-    edges = np.geomspace(1e-3 * x_max, x_max, grid_points + 1)
-    centers = np.sqrt(edges[:-1] * edges[1:])
-    widths = np.diff(edges)
-    vals = spec.set.phi(centers)  # (k, grid)
+    lo, hi = n * (a - spec.delta), n * (a + spec.delta)
+    # no coordinate exceeds the caps hi_i^(1/e_i)
+    x_max = 1.0001 * min(h ** (1.0 / e) for e, h in zip(exps, hi))
+    edges = np.geomspace(1e-3 * x_max, x_max, (3000 if n == 2 else 300) + 1)
+    x1, w1 = _gauss_cells(np.concatenate([[0.0], edges[1:]]), _X1_RULE)
 
-    lo = n * (a - spec.delta)
-    hi = n * (a + spec.delta)
-    if n == 2:
-        # sums of observable values over coordinate pairs
-        mass = np.zeros(grid_points)
-        inside = np.ones((grid_points, grid_points), dtype=bool)
-        for i in range(k):
-            s = vals[i][:, None] + vals[i][None, :]
-            inside &= (s >= lo[i]) & (s <= hi[i])
-            # free the grid-sized sums before the next ones are built:
-            # two of them (72 MB each at 3000 cells) set the peak memory
-            del s
-        mass = inside @ widths
-    else:
-        mass = np.zeros(grid_points)
-        for j in range(grid_points):
-            inside = np.ones((grid_points, grid_points), dtype=bool)
-            for i in range(k):
-                s = vals[i][j] + vals[i][:, None] + vals[i][None, :]
-                inside &= (s >= lo[i]) & (s <= hi[i])
-            mass[j] = widths @ inside @ widths
-    total = float(mass @ widths)
+    # product rule over the middle coordinates x_2 .. x_{n-1}: their phi
+    # sums and weights, a single node of sum 0 at n = 2
+    sums, weights = np.zeros((k, 1)), np.ones(1)
+    x2, w2 = _gauss_cells(np.linspace(0.0, x_max, _X2_CELLS + 1), _X2_RULE)
+    for _ in range(n - 2):
+        sums = (sums[:, :, None] + spec.set.phi(x2)[:, None, :]).reshape(k, -1)
+        weights = np.outer(weights, w2).ravel()
+
+    rows = max(1, _BLOCK // weights.size)
+    density = []
+    for start in range(0, x1.size, rows):
+        s = spec.set.phi(x1[start:start + rows])[:, :, None] + sums[:, None, :]
+        bottom = [np.maximum(b - v, 0.0) ** (1.0 / e) for e, v, b in zip(exps, s, lo)]
+        top = [np.maximum(t - v, 0.0) ** (1.0 / e) for e, v, t in zip(exps, s, hi)]
+        length = np.min(top, axis=0) - np.max(bottom, axis=0)
+        density.append(np.maximum(length, 0.0) @ weights)
+    mass = np.sum((np.concatenate(density) * w1).reshape(edges.size - 1, -1), axis=1)
+    total = float(np.sum(mass))
     if total <= 0.0:
-        raise EmptyShell("no grid cell intersects the shell")
-    pdf = mass / total
-    cdf = np.concatenate([[0.0], np.cumsum(pdf * widths)])
-    cdf = np.minimum(cdf[1:], 1.0)
-    return DensityTable(x=centers, pdf=pdf, cdf=cdf, widths=widths)
+        raise EmptyShell("the shell has no volume")
+    widths = np.diff(edges)
+    cdf = np.minimum(np.cumsum(mass) / total, 1.0)
+    x = np.sqrt(edges[:-1] * edges[1:])
+    return DensityTable(x=x, pdf=mass / total / widths, cdf=cdf, widths=widths)
 
 
 def save_batch_csv(batch, csv_path):

@@ -59,7 +59,7 @@ class TestKSDistance:
 
     def test_density_table_reference(self):
         spec = smp.ShellSpec(set=S12, n=2, delta=0.15, a=(1.0, 1.6))
-        table = smp.brute_force_conditional(spec, grid_points=500)
+        table = smp.brute_force_conditional(spec)
         batch = smp.run_chain(
             spec, smp.ChainParams(burn_in=10000, thin=10, n_states=5000), seed=2
         )
@@ -69,7 +69,7 @@ class TestKSDistance:
         # table.cdf[i] is the mass up to cell i's right edge; the cell
         # centres are geometric means of their edges
         spec = smp.ShellSpec(set=S12, n=2, delta=0.15, a=(1.0, 1.6))
-        table = smp.brute_force_conditional(spec, grid_points=500)
+        table = smp.brute_force_conditional(spec)
         w = table.widths
         right = 0.5 * (w + np.sqrt(w * w + 4.0 * table.x ** 2))
         assert np.allclose(np.sqrt((right - w) * right), table.x, rtol=1e-12)

@@ -26,14 +26,14 @@ def _lp_floor(exponents, prefix):
     """Least E[x^e3] over probability vectors on the atom 0 and a
     geometric grid, with E[x^e1] and E[x^e2] matched: a linear program,
     solved on a coarse grid and again on a fine grid spanning the coarse
-    solution's positive atoms and their neighbours.  The grid is laid out
-    in units of the Jensen scale v1^(1/e1), which keeps the program's
-    entries within a few decades of 1."""
+    solution's positive atoms and their neighbours.  Each grid is laid out
+    in its own unit, which keeps the program's entries within a few
+    decades of 1: the coarse one in the Jensen scale v1^(1/e1), the fine
+    one in the coarse solution's largest support atom."""
     e1, e2, e3 = exponents
-    unit = prefix[0] ** (1.0 / e1)
     tol = dict(primal_feasibility_tolerance=1e-10, dual_feasibility_tolerance=1e-10)
 
-    def solve(grid):
+    def solve(grid, unit):
         atoms = np.concatenate([[0.0], grid])
         lp = linprog(
             atoms ** e3,
@@ -46,10 +46,13 @@ def _lp_floor(exponents, prefix):
         assert lp.status == 0, lp.message
         return lp.fun * unit ** e3, grid[lp.x[1:] > 0]
 
+    unit = prefix[0] ** (1.0 / e1)
     coarse = np.geomspace(1e-1, 1e3, 4001)
-    _, support = solve(coarse)
+    _, support = solve(coarse, unit)
     ratio = coarse[1] / coarse[0]
-    return solve(np.geomspace(support.min() / ratio, support.max() * ratio, 4001))[0]
+    top = support.max()
+    fine = np.geomspace(support.min() / (ratio * top), ratio, 4001)
+    return solve(fine, unit * top)[0]
 
 
 class TestReducedSolve:
@@ -167,6 +170,9 @@ class TestPhaseFunctions:
     @example(1.0, 1.0, 0.5, 1.0, 0.8)
     @example(0.5, 1.0, 0.5, 1.0, 0.8)
     @example(1.0, 0.5, 2.5, 1.0, 0.8)
+    # a floor atom at 388 Jensen units, where the program in those units
+    # made HiGHS report numerical difficulties
+    @example(0.5, 1.75, 1.0, 1.0, 0.05078125)
     def test_g1_k3_matches_linear_program(self, e1, gap2, gap3, v1, w):
         # v2 = v1^(e2/e1) w^(-gap2/e1) lies above the prefix's Jensen
         # floor for every w < 1, so the prefix is admissible

@@ -1,7 +1,9 @@
+import math
 import os
 
 import numpy as np
 import pytest
+from scipy.integrate import quad as integrate
 
 from microshell import diagnostics as diag
 from microshell import dual_solver as dual
@@ -245,3 +247,40 @@ class TestBruteForce:
         table = smp.brute_force_conditional(spec12(n=2, delta=0.05))
         mean = float(np.sum(table.x * table.pdf * table.widths))
         assert mean == pytest.approx(1.0, abs=0.06)
+
+    def test_n2_cdf_matches_exact_marginal_at_right_edges(self):
+        # at n = 2 the marginal density of x_1 is the length of the x_2
+        # interval that the two constraints leave; integrated from 0 by
+        # adaptive quadrature, cell by cell
+        spec = spec12(n=2, delta=0.15)
+        lo = [2.0 * (ai - spec.delta) for ai in spec.a]
+        hi = [2.0 * (ai + spec.delta) for ai in spec.a]
+
+        def length(x):
+            top = min(hi[0] - x, math.sqrt(max(hi[1] - x * x, 0.0)))
+            bottom = max(lo[0] - x, math.sqrt(max(lo[1] - x * x, 0.0)), 0.0)
+            return max(top - bottom, 0.0)
+
+        table = smp.brute_force_conditional(spec)
+        right = table.x * math.sqrt(table.x[1] / table.x[0])
+        cells = zip(np.concatenate([[0.0], right[:-1]]), right)
+        exact = np.cumsum([integrate(length, l, r, epsabs=1e-13)[0] for l, r in cells])
+        assert np.max(np.abs(table.cdf - exact / exact[-1])) <= 1e-4
+
+    def test_n3_k3_cdf_matches_rejection_sample(self):
+        # uniform draws from the box [0, x_max]^3 kept when inside the
+        # shell are exact draws of its uniform law; every coordinate of a
+        # kept draw has the tabulated marginal
+        spec = smp.ShellSpec(set=S123, n=3, delta=0.2, a=(1.0, 2.2, 6.0))
+        table = smp.brute_force_conditional(spec)
+        right = table.x * math.sqrt(table.x[1] / table.x[0])
+        rng = np.random.Generator(np.random.PCG64(3))
+        kept = []
+        for _ in range(24):
+            x = rng.uniform(0.0, right[-1], size=(500_000, 3))
+            means = S123.phi(x).mean(axis=2).T
+            kept.append(x[np.all(np.abs(means - spec.a) <= spec.delta, axis=1)].ravel())
+        coords = np.sort(np.concatenate(kept))
+        assert coords.size > 90_000
+        ecdf = np.searchsorted(coords, right, side="right") / coords.size
+        assert np.max(np.abs(table.cdf - ecdf)) <= 0.015
