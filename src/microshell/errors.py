@@ -61,5 +61,9 @@ class MixingFailure(MicroshellError):
         self.diagnostics = diagnostics or {}
 
 
+class BuildError(MicroshellError):
+    """The compiled chain kernel could not be built."""
+
+
 class EmptyShell(MicroshellError):
     """Brute-force grid found no cell inside the constraint shell."""

@@ -6,7 +6,8 @@ Three sources of configurations:
     detailed balance for the uniform distribution on the shell, and an
     optional reference density turns the target into the conditioned
     product measure (acceptance ratio times the coordinate density
-    ratio, still exact).
+    ratio, still exact).  Its steps run in the C kernel _chain.c, built
+    on first use.
   * sample_tilted - i.i.d. coordinates from a tilted density by quantile
     inversion.
   * brute_force_conditional - exact small-n marginal of the uniform
@@ -19,7 +20,9 @@ save_batch_csv writes a batch's states through diagnostics._write_csv,
 with the order parameter from diagnostics.max_stats.
 """
 
+import ctypes
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -30,9 +33,9 @@ from . import dual_solver as dual
 from . import quadrature as quad
 from .errors import (
     ArgumentError,
+    BuildError,
     EmptyShell,
     FeasibilityError,
-    Infeasible,
     MixingFailure,
 )
 
@@ -50,10 +53,15 @@ __all__ = [
     "save_batch_csv",
 ]
 
-# burn-in adapts the step after every _ADAPT_WINDOW Gaussian moves,
-# toward the acceptance rate _TARGET_ACCEPT
-_ADAPT_WINDOW = 250
-_TARGET_ACCEPT = 0.3
+# run_chain's steps: _chain.c, built on first use by _CC with _CFLAGS
+# (no fused multiply-add, so the bytes are those of the chain's
+# definition) into the package's __pycache__, and run _CHUNK steps a call
+_KERNEL_SOURCE = os.path.join(os.path.dirname(__file__), "_chain.c")
+_CACHE_DIR = os.path.join(os.path.dirname(__file__), "__pycache__")
+_CC = ["cc"]
+_CFLAGS = ["-O2", "-ffp-contract=off", "-fPIC", "-shared"]
+_CHUNK = 16384
+_kernel = None
 
 # brute force's fixed rules: Gauss-Legendre nodes per x_1 cell, uniform
 # x_2 cells and their nodes (n = 3), and the most (x_1, x_2) node pairs
@@ -92,6 +100,17 @@ class ChainParams:
     # they are always accepted and restore irreducibility when the shell
     # splits into permutation-related components
     swap_prob: float = 0.05
+
+    def __post_init__(self):
+        for bound, ok in (
+            ("burn_in >= 0", self.burn_in >= 0),
+            ("thin >= 1", self.thin >= 1),
+            ("n_states >= 1", self.n_states >= 1),
+            ("step_scale > 0", self.step_scale > 0),
+            ("0 <= swap_prob <= 1", 0 <= self.swap_prob <= 1),
+        ):
+            if not ok:
+                raise ArgumentError("need " + bound)
 
 
 @dataclass
@@ -203,6 +222,50 @@ def feasible_point(spec):
     raise FeasibilityError("did not reach the shell in 500 refinement steps")
 
 
+def _chain_kernel():
+    """_chain.c's chain_chunk, loaded by ctypes.  The first call in a
+    process builds the library with _CC into _CACHE_DIR, under a name
+    keyed on the source and the flags, unless it is there already; a
+    temporary name replaced into place keeps concurrent builders from
+    loading a half-written file.  An unwritable cache builds into a fresh
+    temporary directory instead."""
+    global _kernel
+    if _kernel is not None:
+        return _kernel
+    import hashlib
+    import subprocess
+    import tempfile
+
+    with open(_KERNEL_SOURCE, "rb") as fh:
+        key = hashlib.sha256(fh.read() + " ".join(_CFLAGS).encode()).hexdigest()
+    cache = _CACHE_DIR
+    try:
+        os.makedirs(cache, exist_ok=True)
+        writable = os.access(cache, os.W_OK)
+    except OSError:
+        writable = False
+    if not writable:
+        cache = tempfile.mkdtemp(prefix="microshell-")
+    lib = os.path.join(cache, "_chain-%s.so" % key[:16])
+    if not os.path.exists(lib):
+        tmp = "%s.%d.tmp" % (lib, os.getpid())
+        try:
+            subprocess.run(_CC + _CFLAGS + ["-o", tmp, _KERNEL_SOURCE, "-lm"],
+                           check=True, capture_output=True, text=True)
+        except (OSError, subprocess.CalledProcessError) as exc:
+            raise BuildError(
+                "cannot build the chain kernel with %r into %s: %s"
+                % (" ".join(_CC), cache, getattr(exc, "stderr", None) or exc)
+            ) from exc
+        os.replace(tmp, lib)
+    fn = ctypes.CDLL(lib).chain_chunk
+    i64, dbl, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    fn.argtypes = [i64, i64, dbl] + [i64] * 4 + [ptr] * 15
+    fn.restype = None
+    _kernel = fn
+    return fn
+
+
 def run_chain(spec, params, seed, reference=None):
     """Metropolis chain on the shell.
 
@@ -210,115 +273,52 @@ def run_chain(spec, params, seed, reference=None):
     shell (acceptance = shell indicator, exact detailed balance for the
     symmetric proposal).  With a TiltedDensity reference the target is
     the product reference measure conditioned on the shell.  Step size
-    adapts toward _TARGET_ACCEPT during burn-in only and is frozen
+    adapts toward a 0.3 acceptance rate during burn-in only and is frozen
     afterwards, preserving exactness of the recorded states.
+
+    The steps run in _chain.c, _CHUNK at a time, on random numbers drawn
+    here per chunk; a chain's bytes depend only on (spec, params, seed,
+    reference).
     """
-    x0 = feasible_point(spec)
     n, k = spec.n, spec.set.k
-    a = list(spec.a)
-    delta = spec.delta
-    exps = spec.set.exponents
     ref_c = None
     if reference is not None:
-        ref_c = list(np.asarray(reference.lebesgue_coeffs, dtype=float))
+        ref_c = np.asarray(reference.lebesgue_coeffs, dtype=float)
+        if ref_c.shape != (k,):
+            raise ArgumentError("need a reference density on the shell's k observables")
+    x = np.array(feasible_point(spec), dtype=float)
+    exps = np.asarray(spec.set.exponents, dtype=float)
+    a = np.asarray(spec.a, dtype=float)
 
     rng = np.random.Generator(np.random.PCG64(seed))
-    x = [float(v) for v in x0]
-    sums = [float(sum(xi ** e for xi in x)) for e in exps]
-
     log_step = math.log(params.step_scale)
-    total_steps = params.burn_in + params.n_states * params.thin
+    step = np.array([log_step, math.exp(log_step)])
+    count = np.zeros(6, dtype=np.int64)
+    sums, deltas = np.empty(k), np.empty(k)
     states = np.empty((params.n_states, n))
     residuals = np.empty(params.n_states)
-    recorded = 0
-    accepted_post = 0
-    post_steps = 0
-    win_accepts = 0
-    win_moves = 0
-    win_index = 0
+    total_steps = params.burn_in + params.n_states * params.thin
 
-    chunk = 16384
-    done = 0
-    step = math.exp(log_step)
-    while done < total_steps:
-        todo = min(chunk, total_steps - done)
-        idxs = rng.integers(0, n, size=todo).tolist()
-        idxs2 = rng.integers(0, n, size=todo).tolist()
-        kinds = (rng.random(todo) < params.swap_prob).tolist()
-        noises = rng.standard_normal(todo).tolist()
-        unifs = rng.random(todo).tolist()
-        for t in range(todo):
-            step_no = done + t
-            in_burn = step_no < params.burn_in
-            j = idxs[t]
-            if kinds[t] and n > 1:
-                # transposition move: always accepted, sums unchanged
-                j2 = idxs2[t]
-                x[j], x[j2] = x[j2], x[j]
-                accept = True
-                gaussian = False
-            else:
-                gaussian = True
-                old = x[j]
-                new = old + step * noises[t]
-                accept = False
-                if new > 0.0:
-                    ok = True
-                    deltas = []
-                    for i in range(k):
-                        d_i = new ** exps[i] - old ** exps[i]
-                        s_new = sums[i] + d_i
-                        if abs(s_new / n - a[i]) > delta:
-                            ok = False
-                            break
-                        deltas.append(d_i)
-                    if ok:
-                        if ref_c is None:
-                            accept = True
-                        else:
-                            lr = 0.0
-                            for i in range(k):
-                                ci = ref_c[i]
-                                if ci != 0.0:
-                                    lr += ci * deltas[i]
-                            accept = lr >= 0.0 or unifs[t] < math.exp(lr)
-                if accept:
-                    x[j] = new
-                    for i in range(k):
-                        sums[i] += deltas[i]
-            if in_burn:
-                # adapt on Gaussian moves only; transpositions carry no
-                # information about the step scale
-                if gaussian:
-                    win_accepts += accept
-                    win_moves += 1
-                    if win_moves >= _ADAPT_WINDOW:
-                        win_index += 1
-                        rate = win_accepts / win_moves
-                        gain = 1.0 / math.sqrt(win_index)
-                        log_step += gain * (rate - _TARGET_ACCEPT)
-                        step = math.exp(log_step)
-                        win_accepts = 0
-                        win_moves = 0
-            else:
-                if gaussian:
-                    post_steps += 1
-                    accepted_post += accept
-                if (step_no + 1 - params.burn_in) % params.thin == 0:
-                    states[recorded] = x
-                    residuals[recorded] = max(
-                        abs(sums[i] / n - a[i]) for i in range(k)
-                    )
-                    recorded += 1
-        done += todo
-        # periodic refresh of the running sums against float drift
-        sums = [float(sum(xi ** e for xi in x)) for e in exps]
+    chunk = _chain_kernel()
+    for done in range(0, total_steps, _CHUNK):
+        todo = min(_CHUNK, total_steps - done)
+        idxs = rng.integers(0, n, size=todo)
+        idxs2 = rng.integers(0, n, size=todo)
+        kinds = rng.random(todo) < params.swap_prob
+        noises = rng.standard_normal(todo)
+        unifs = rng.random(todo)
+        buffers = (exps, a, ref_c, idxs, idxs2, kinds, noises, unifs,
+                   x, sums, deltas, step, count, states, residuals)
+        chunk(n, k, spec.delta, params.burn_in, params.thin, done, todo,
+              *[None if b is None else b.ctypes.data for b in buffers])
 
+    post_steps, accepted_post, recorded = (int(c) for c in count[3:])
     acc_rate = accepted_post / max(post_steps, 1)
+    step = float(step[1])
     if acc_rate < 1e-3:
         raise MixingFailure(
             "acceptance rate %.2e after adaptation" % acc_rate,
-            diagnostics={"step": step, "n": n, "delta": delta},
+            diagnostics={"step": step, "n": n, "delta": spec.delta},
         )
     return SampleBatch(
         states=states[:recorded],
@@ -328,7 +328,7 @@ def run_chain(spec, params, seed, reference=None):
         spec=spec,
         params=params,
         reference_p=None if reference is None else tuple(reference.p),
-        step_scale_final=float(step),
+        step_scale_final=step,
     )
 
 

@@ -37,6 +37,30 @@ class TestShellSpec:
         assert smp.shell_residual(spec, x) == pytest.approx(0.0, abs=1e-14)
 
 
+class TestChainParams:
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("burn_in", -1),
+            ("thin", 0),
+            ("n_states", 0),
+            ("step_scale", 0.0),
+            ("step_scale", -0.5),
+            ("step_scale", math.nan),
+            ("swap_prob", -0.01),
+            ("swap_prob", 1.01),
+            ("swap_prob", math.nan),
+        ],
+    )
+    def test_rejects_out_of_range(self, field, value):
+        with pytest.raises(ArgumentError, match=field):
+            smp.ChainParams(**{field: value})
+
+    def test_accepts_the_bounds(self):
+        smp.ChainParams(burn_in=0, thin=1, n_states=1, swap_prob=0.0)
+        smp.ChainParams(swap_prob=1.0, step_scale=1e-300)
+
+
 class TestFeasiblePoint:
     @pytest.mark.parametrize(
         "oset,a,n",
@@ -146,6 +170,12 @@ class TestRunChain:
         params = smp.ChainParams(burn_in=500, thin=5, n_states=20)
         batch = smp.run_chain(spec, params, seed=1, reference=ref)
         assert batch.reference_p == (0.0, 0.0)
+
+    def test_reference_on_other_observables_is_refused(self):
+        ref = quad.tilted_density(S123, [0.0, 0.0, 0.0])
+        params = smp.ChainParams(burn_in=10, thin=1, n_states=1)
+        with pytest.raises(ArgumentError, match="reference"):
+            smp.run_chain(spec12(n=8), params, seed=1, reference=ref)
 
 
 class TestMergeAndSave:
