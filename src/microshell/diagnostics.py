@@ -59,12 +59,9 @@ class AppendixReport:
 def _reference_cdf(reference, xs):
     if isinstance(reference, quad.TiltedDensity):
         return quad.cdf(reference, xs)
-    # tabulated density: cdf[i] is the mass up to cell i's right edge;
-    # a cell centre x is the geometric mean of its edges, so that edge
-    # is (w + sqrt(w^2 + 4 x^2)) / 2 for cell width w
-    x, w = reference.x, reference.widths
-    right = 0.5 * (w + np.sqrt(w * w + 4.0 * x * x))
-    grid_x = np.concatenate([[right[0] - w[0]], right])
+    # tabulated density: cdf[i] is the mass up to cell i's right edge,
+    # the running sum of the widths, and the first cell starts at 0
+    grid_x = np.concatenate([[0.0], np.cumsum(reference.widths)])
     grid_cdf = np.concatenate([[0.0], reference.cdf])
     return np.interp(xs, grid_x, grid_cdf, left=0.0, right=1.0)
 

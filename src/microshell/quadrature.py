@@ -12,9 +12,10 @@ cut of the interval's own maximum.  A tilted density holds its CDF
 grid, fixed panels in t filled once at construction.  One partial-panel
 Gauss-Legendre integral builds that grid, completes cdf inside a
 point's panel, and is the residual that quantile drives to zero by
-safeguarded Newton in t, to 1e-10 in probability.  cdf and quantile
-take their points in blocks of 8192, so the (points, nodes) temporaries
-stay bounded.
+safeguarded Newton in t, to 1e-10 in probability.  It adds its nodes
+in one fixed order, so a point's bits do not depend on where it sits
+among the others.  cdf and quantile take their points in blocks of
+8192, so the (points, nodes) temporaries stay bounded.
 
 The reference measure is lambda = (1/Z) exp(-phi_1(x)) dx, so a tilt
 vector p corresponds to the Lebesgue density
@@ -264,10 +265,13 @@ class TiltedDensity:
 
 def _panel_integral(obs_set, c, gmax, a, t):
     """Signed Gauss-Legendre integral of exp(g - gmax) from each panel
-    edge a to t, g the log-weight of the Lebesgue coefficients c."""
+    edge a to t, g the log-weight of the Lebesgue coefficients c.
+    einsum adds each point's 15 weighted values in one order, whatever
+    the point's row; a matrix-vector product may sum rows in different
+    orders, so a point's bits would depend on its position."""
     half = 0.5 * (t - a)
     tt = (0.5 * (t + a))[..., None] + half[..., None] * _GL_NODES
-    return half * (np.exp(_log_weight(obs_set, c, tt) - gmax) @ _GL_WEIGHTS)
+    return half * np.einsum("ij,j->i", np.exp(_log_weight(obs_set, c, tt) - gmax), _GL_WEIGHTS)
 
 
 def tilted_density(obs_set, p):
@@ -379,11 +383,10 @@ def quantile(d, u):
     solves for the panel's partial Gauss-Legendre integral, whose
     derivative is the density: a step leaving the point's bracket, or
     dividing by a zero density, is a bisection step.  A point stops on
-    a step or bracket below 1e-9 in t or on the residual bound.  A
-    running maximum in u order keeps the result monotone, and each run
-    of equal u takes the run's last value: the matrix-vector product of
-    the Gauss-Legendre sum can round a point by its row, so equal u may
-    differ in the last bit before this pass.
+    a step or bracket below 1e-9 in t or on the residual bound.  Each
+    point is solved on its own, in bits that do not depend on its
+    position in u, so equal u get equal values; a running maximum in
+    u order then keeps the result monotone across neighbouring u.
 
     No value falls below the CDF grid's lower edge, about 80 nats
     below the log-weight's peak: for exp(1), quantile(d, 1e-300) is
@@ -398,9 +401,7 @@ def quantile(d, u):
     uf = u_arr.ravel()
     t = _blockwise(_newton_t, d, uf)
     order = np.argsort(uf, kind="stable")
-    su = uf[order]
-    last = np.searchsorted(su, su, side="right") - 1  # end of each run of equal u
-    t[order] = np.maximum.accumulate(t[order])[last]
+    t[order] = np.maximum.accumulate(t[order])
     out = np.exp(t).reshape(u_arr.shape)
     return float(out) if u_arr.ndim == 0 else out
 

@@ -98,7 +98,8 @@ class ChainParams:
     # fraction of proposals that transpose two coordinates; transpositions
     # leave the shell constraints and any product reference invariant, so
     # they are always accepted and restore irreducibility when the shell
-    # splits into permutation-related components
+    # splits into permutation-related components; below 1, since a chain
+    # of transpositions alone only permutes its start
     swap_prob: float = 0.05
 
     def __post_init__(self):
@@ -107,7 +108,7 @@ class ChainParams:
             ("thin >= 1", self.thin >= 1),
             ("n_states >= 1", self.n_states >= 1),
             ("step_scale > 0", self.step_scale > 0),
-            ("0 <= swap_prob <= 1", 0 <= self.swap_prob <= 1),
+            ("0 <= swap_prob < 1", 0 <= self.swap_prob < 1),
         ):
             if not ok:
                 raise ArgumentError("need " + bound)
@@ -139,27 +140,6 @@ def shell_residual(spec, x):
     return float(np.max(np.abs(means - np.asarray(spec.a))))
 
 
-def _increasing_root(fn, target):
-    """Solve fn(x) = target for increasing fn on (0, inf) by bisection.
-
-    Only feasible_point's spike uses it: the closed form target^(1/e)
-    gives other bits, which would move the chain's start and result files."""
-    lo, hi = 1e-12, 1.0
-    for _ in range(200):
-        if fn(hi) >= target:
-            break
-        hi *= 2.0
-    else:
-        raise FeasibilityError("could not bracket observable root")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if fn(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def feasible_point(spec):
     """A configuration inside the shell.
 
@@ -178,8 +158,7 @@ def feasible_point(spec):
         surplus = n * (spec.a[k - 1] - report.g2)
         bulk = quad.quantile(marginal, (np.arange(n - 1) + 0.5) / (n - 1))
         if surplus > 0:
-            e_k = spec.set.exponents[-1]
-            spike = _increasing_root(lambda v: v ** e_k, surplus)
+            spike = surplus ** (1.0 / spec.set.exponents[-1])
         else:
             spike = quad.quantile(marginal, 0.5)
         x = np.concatenate([np.atleast_1d(bulk), [spike]])
@@ -372,8 +351,11 @@ def brute_force_conditional(spec):
     with b_i, t_i = ((n(a_i -+ delta) - s_i)_+)^(1/e_i).  Fixed
     Gauss-Legendre rules integrate its length over x_2 (n = 3) and over
     x_1 on 3000 (n = 2) or 300 (n = 3) log-spaced cells, the first from
-    0, so cdf at each right edge is exact to the rules; x holds the
-    cells' geometric-mean centres, pdf mass over width."""
+    0, so cdf at each right edge is exact to the rules.  widths are the
+    cells' widths, the first from 0, so that their running sum gives the
+    right edges and pdf (mass over width) times width each cell's mass;
+    x holds the geometric-mean centres of the log grid's cells, the
+    first taken from its left end 1e-3 x_max."""
     if spec.n not in (2, 3):
         raise ArgumentError("brute force supports n in {2, 3}")
     n, k, exps = spec.n, spec.set.k, spec.set.exponents
@@ -382,7 +364,8 @@ def brute_force_conditional(spec):
     # no coordinate exceeds the caps hi_i^(1/e_i)
     x_max = 1.0001 * min(h ** (1.0 / e) for e, h in zip(exps, hi))
     edges = np.geomspace(1e-3 * x_max, x_max, (3000 if n == 2 else 300) + 1)
-    x1, w1 = _gauss_cells(np.concatenate([[0.0], edges[1:]]), _X1_RULE)
+    cells = np.concatenate([[0.0], edges[1:]])
+    x1, w1 = _gauss_cells(cells, _X1_RULE)
 
     # product rule over the middle coordinates x_2 .. x_{n-1}: their phi
     # sums and weights, a single node of sum 0 at n = 2
@@ -404,7 +387,7 @@ def brute_force_conditional(spec):
     total = float(np.sum(mass))
     if total <= 0.0:
         raise EmptyShell("the shell has no volume")
-    widths = np.diff(edges)
+    widths = np.diff(cells)
     cdf = np.minimum(np.cumsum(mass) / total, 1.0)
     x = np.sqrt(edges[:-1] * edges[1:])
     return DensityTable(x=x, pdf=mass / total / widths, cdf=cdf, widths=widths)

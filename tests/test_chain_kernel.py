@@ -177,7 +177,7 @@ def chain_cases(draw):
         thin=draw(st.integers(1, 5)),
         step_scale=draw(st.floats(0.01, 2.0)),
         n_states=draw(st.integers(1, 60)),
-        swap_prob=draw(st.sampled_from([0.0, 0.05, 1.0])),
+        swap_prob=draw(st.sampled_from([0.0, 0.05, 0.5])),
     )
     tilt = draw(st.none() | st.floats(-0.5, 0.5))
     return smp.ShellSpec(set=oset, n=n, delta=delta, a=a), params, tilt

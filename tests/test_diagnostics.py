@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad as integrate
 
 from microshell import diagnostics as diag
 from microshell import observables as obs
@@ -66,16 +67,40 @@ class TestKSDistance:
         assert diag.ks_distance(batch.states.ravel(), table) <= 0.05
 
     def test_density_table_cdf_at_right_cell_edges(self):
-        # table.cdf[i] is the mass up to cell i's right edge; the cell
-        # centres are geometric means of their edges
+        # table.cdf[i] is the mass up to cell i's right edge, the running
+        # sum of the widths: the first cell starts at 0, and the right
+        # edges are those of the log grid whose cells' geometric means
+        # are the centres x
         spec = smp.ShellSpec(set=S12, n=2, delta=0.15, a=(1.0, 1.6))
         table = smp.brute_force_conditional(spec)
-        w = table.widths
-        right = 0.5 * (w + np.sqrt(w * w + 4.0 * table.x ** 2))
-        assert np.allclose(np.sqrt((right - w) * right), table.x, rtol=1e-12)
+        right = np.cumsum(table.widths)
+        assert np.allclose(right, table.x * np.sqrt(table.x[1] / table.x[0]), rtol=1e-12)
         ref = diag._reference_cdf(table, right)
         assert np.allclose(ref, table.cdf, rtol=0.0, atol=1e-12)
-        assert diag._reference_cdf(table, right[0] - w[0]) == 0.0
+        assert diag._reference_cdf(table, 0.0) == 0.0
+
+    def test_density_table_first_cell_starts_at_zero(self):
+        # the first cell holds the mass of [0, right[0]]: its pdf is that
+        # mass over that width, and the reference CDF rises from (0, 0),
+        # so at the log grid's left end it is the exact marginal's CDF
+        # (1.44e-3 at this shell), the length of the x_2 interval that
+        # the two constraints leave, integrated from 0
+        spec = smp.ShellSpec(set=S12, n=2, delta=0.15, a=(1.0, 1.6))
+        table = smp.brute_force_conditional(spec)
+        right0 = table.x[0] * math.sqrt(table.x[1] / table.x[0])
+        assert table.pdf[0] == pytest.approx(table.cdf[0] / right0, rel=1e-3)
+        lo = [2.0 * (ai - spec.delta) for ai in spec.a]
+        hi = [2.0 * (ai + spec.delta) for ai in spec.a]
+
+        def length(x):
+            top = min(hi[0] - x, math.sqrt(max(hi[1] - x * x, 0.0)))
+            bottom = max(lo[0] - x, math.sqrt(max(lo[1] - x * x, 0.0)), 0.0)
+            return max(top - bottom, 0.0)
+
+        total = integrate(length, 0.0, math.sqrt(hi[1]), limit=200, epsabs=1e-13)[0]
+        left = right0 * table.x[0] / table.x[1]
+        exact = integrate(length, 0.0, left, epsabs=1e-15)[0] / total
+        assert abs(diag._reference_cdf(table, left) - exact) <= 1e-5
 
 
 class TestMaxStats:

@@ -357,7 +357,8 @@ class TestQuantile:
         st.lists(st.integers(min_value=-30, max_value=30), min_size=2, max_size=30),
         st.lists(st.floats(min_value=1e-16, max_value=1.0 - 1e-16), max_size=30),
     )
-    # four equal u, which Newton alone rounds to two values of x
+    # four equal u, which a Gauss-Legendre sum rounding by row gives two
+    # values of x
     @example(which=0, base=0.17979740518726492, offsets=[0, 19, 19, 19, 19], spread=[0.5])
     def test_nondecreasing_in_u(self, densities, which, base, offsets, spread):
         # neighbours a few floats apart, plus values across (0, 1)
@@ -397,6 +398,27 @@ class TestQuantile:
             for fn, arg, whole in ((quad.quantile, u, x), (quad.cdf, x, quad.cdf(d, x))):
                 parts = [fn(d, arg[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
                 assert np.array_equal(np.concatenate(parts), whole)
+
+    def test_a_point_gives_the_same_bits_alone_and_at_any_position(self, densities):
+        # a (points, 15) @ weights product sums a point's nodes in an
+        # order set by its row: u0 then took two values one ulp apart,
+        # alone and in np.full(6, u0)
+        d, b, u0 = densities[0], quad._BLOCK, 0.17979740518726545
+        x0 = quad.quantile(d, u0)
+        c0 = quad.cdf(d, x0)
+        assert np.all(quad.quantile(d, np.full(6, u0)) == x0)
+        assert np.all(quad.cdf(d, np.full(6, x0)) == c0)
+        rng = np.random.default_rng(17)
+        for pos in (0, 1, 2, 3, 5, 7, b - 1, b, b + 1):
+            u = rng.random(b + 9)
+            u[pos] = u0
+            x = quad.quantile(d, u)
+            assert x[pos] == x0
+            assert quad.cdf(d, x)[pos] == c0
+        u = rng.random(300)
+        x = quad.quantile(d, u)
+        assert np.array_equal(x, [quad.quantile(d, v) for v in u])
+        assert np.array_equal(quad.cdf(d, x), [quad.cdf(d, v) for v in x])
 
     def test_newton_work_per_point(self, densities, monkeypatch):
         # a bisection pass costs 15 log-weight evaluations per point and

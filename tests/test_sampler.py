@@ -48,6 +48,7 @@ class TestChainParams:
             ("step_scale", -0.5),
             ("step_scale", math.nan),
             ("swap_prob", -0.01),
+            ("swap_prob", 1.0),
             ("swap_prob", 1.01),
             ("swap_prob", math.nan),
         ],
@@ -58,7 +59,7 @@ class TestChainParams:
 
     def test_accepts_the_bounds(self):
         smp.ChainParams(burn_in=0, thin=1, n_states=1, swap_prob=0.0)
-        smp.ChainParams(swap_prob=1.0, step_scale=1e-300)
+        smp.ChainParams(swap_prob=math.nextafter(1.0, 0.0), step_scale=1e-300)
 
 
 class TestFeasiblePoint:
@@ -139,13 +140,10 @@ class TestRunChain:
         spec = spec12(n=2, delta=0.15)
         ref = quad.tilted_density(S12, [0.0, 0.0])
         grid = 2000
-        caps = [
-            smp._increasing_root(lambda v, e=e: v ** e, 2 * (ai + spec.delta))
-            for e, ai in zip(S12.exponents, spec.a)
-        ]
+        caps = [(2 * (ai + spec.delta)) ** (1.0 / e) for e, ai in zip(S12.exponents, spec.a)]
         edges = np.geomspace(1e-3 * min(caps), 1.0001 * min(caps), grid + 1)
         cent = np.sqrt(edges[:-1] * edges[1:])
-        w = np.diff(edges)
+        w = np.diff(np.concatenate([[0.0], edges[1:]]))  # the first cell from 0
         vals = np.array([cent ** e for e in S12.exponents])
         inside = np.ones((grid, grid), dtype=bool)
         for i in range(2):
