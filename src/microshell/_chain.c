@@ -1,4 +1,6 @@
 /* One chunk of sampler.run_chain's Metropolis chain on the constraint shell.
+ * _kernel.library() builds it, with _repr.c, into the package's one
+ * kernel library.
  *
  * run_chain draws each chunk's random numbers with numpy and passes them
  * in as arrays: the coordinate of every step (idx), the partner of a

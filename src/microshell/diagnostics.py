@@ -11,7 +11,9 @@ exp(-c n^gamma) with gamma the growth exponent of the slowest
 constraint.
 
 _write_csv is the one place that decides the CSV format of result
-files: comma-separated cells, "\r\n" line ends, floats as repr.
+files: comma-separated cells, "\r\n" line ends, floats as repr.  A
+float matrix (a sample CSV's cells) is formatted in C by the kernel
+library; mixed rows are joined in Python and need no compiler.
 """
 
 import math
@@ -20,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import _kernel
 from . import quadrature as quad
 from .errors import ArgumentError
 
@@ -245,12 +248,19 @@ def _envelope_check(obs_set, d, m_idx, p_m, theta, mc_samples, seed):
 
 def _write_csv(path, header, rows):
     """Write the header and then each row as one line of comma-joined
-    cells ending in "\r\n", streaming row by row.
+    cells ending in "\r\n".
 
-    Cells are Python ints, strs and floats; str of a float is its repr,
-    so the bytes equal csv.writer's for cells that need no quoting (no
+    rows is either an iterable of rows, whose cells are Python ints,
+    strs and floats (str of a float is its repr), streamed row by row; or
+    a 2-D float array, each line its row number and then its cells as
+    their repr, written by the kernel library's formatter
+    (_kernel.write_rows), which needs a C compiler on first use.  Both
+    give the bytes of csv.writer for cells that need no quoting (no
     comma, quote or line break), as every result cell is."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for row in rows:
-            fh.write(",".join(map(str, row)) + "\r\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
+        if isinstance(rows, np.ndarray):
+            _kernel.write_rows(fh, rows)
+        else:
+            for row in rows:
+                fh.write((",".join(map(str, row)) + "\r\n").encode())

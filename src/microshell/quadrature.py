@@ -26,6 +26,7 @@ with Lebesgue coefficients c_1 = p_1 - 1 and c_i = p_i for i >= 2.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,9 @@ _CDF_PANELS = 1024
 _QUANTILE_STEP = 1e-9
 _QUANTILE_RESIDUAL = 1e-13
 _QUANTILE_ROUNDS = 64
+# the least u quantile takes, well above the mass the CDF grid drops
+# below its lower edge
+_QUANTILE_U_MIN = math.exp(-_TAIL_CUT_NATS)
 _BLOCK = 8192  # points per cdf or quantile block: bounds the temporaries
 
 
@@ -388,16 +392,16 @@ def quantile(d, u):
     position in u, so equal u get equal values; a running maximum in
     u order then keeps the result monotone across neighbouring u.
 
-    No value falls below the CDF grid's lower edge, about 80 nats
-    below the log-weight's peak: for exp(1), quantile(d, 1e-300) is
-    6.4e-36 and the relative error in x is 6.4e-9 at u = 1e-27, though
-    the 1e-10 bound in probability holds (callers clip u at 1e-16).
+    u must lie in [e^-_TAIL_CUT_NATS, 1) = [8.8e-27, 1): the CDF grid
+    starts about 80 nats below the log-weight's peak and drops the mass
+    below that edge, so a smaller u would get a value near the edge
+    instead of its quantile (callers clip u at 1e-16).
     """
     u_arr = np.asarray(u, dtype=float)
     if not np.all(np.isfinite(u_arr)):
         raise ArgumentError("quantile argument must be finite")
-    if np.any((u_arr <= 0.0) | (u_arr >= 1.0)):
-        raise ArgumentError("quantile argument must lie in (0, 1)")
+    if np.any((u_arr < _QUANTILE_U_MIN) | (u_arr >= 1.0)):
+        raise ArgumentError("quantile argument must lie in [%.2g, 1)" % _QUANTILE_U_MIN)
     uf = u_arr.ravel()
     t = _blockwise(_newton_t, d, uf)
     order = np.argsort(uf, kind="stable")

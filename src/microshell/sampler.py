@@ -7,7 +7,7 @@ Three sources of configurations:
     optional reference density turns the target into the conditioned
     product measure (acceptance ratio times the coordinate density
     ratio, still exact).  Its steps run in the C kernel _chain.c, built
-    on first use.
+    on first use into the package's one kernel library (_kernel).
   * sample_tilted - i.i.d. coordinates from a tilted density by quantile
     inversion.
   * brute_force_conditional - exact small-n marginal of the uniform
@@ -16,24 +16,24 @@ Three sources of configurations:
 
 All randomness flows from an explicit per-chain seed through
 numpy's PCG64 generator; identical inputs give identical batches.
-save_batch_csv writes a batch's states through diagnostics._write_csv,
-with the order parameter from diagnostics.max_stats.
+save_batch_csv writes a batch's states, means and order parameter (from
+diagnostics.max_stats) through diagnostics._write_csv as one float
+matrix, so the kernel library's shortest round-trip formatter writes
+every cell's repr.
 """
 
-import ctypes
 import math
-import os
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from . import _kernel
 from . import diagnostics as diag
 from . import dual_solver as dual
 from . import quadrature as quad
 from .errors import (
     ArgumentError,
-    BuildError,
     EmptyShell,
     FeasibilityError,
     MixingFailure,
@@ -53,15 +53,8 @@ __all__ = [
     "save_batch_csv",
 ]
 
-# run_chain's steps: _chain.c, built on first use by _CC with _CFLAGS
-# (no fused multiply-add, so the bytes are those of the chain's
-# definition) into the package's __pycache__, and run _CHUNK steps a call
-_KERNEL_SOURCE = os.path.join(os.path.dirname(__file__), "_chain.c")
-_CACHE_DIR = os.path.join(os.path.dirname(__file__), "__pycache__")
-_CC = ["cc"]
-_CFLAGS = ["-O2", "-ffp-contract=off", "-fPIC", "-shared"]
+# run_chain's steps run in _chain.c's chain_chunk, _CHUNK steps a call
 _CHUNK = 16384
-_kernel = None
 
 # brute force's fixed rules: Gauss-Legendre nodes per x_1 cell, uniform
 # x_2 cells and their nodes (n = 3), and the most (x_1, x_2) node pairs
@@ -201,50 +194,6 @@ def feasible_point(spec):
     raise FeasibilityError("did not reach the shell in 500 refinement steps")
 
 
-def _chain_kernel():
-    """_chain.c's chain_chunk, loaded by ctypes.  The first call in a
-    process builds the library with _CC into _CACHE_DIR, under a name
-    keyed on the source and the flags, unless it is there already; a
-    temporary name replaced into place keeps concurrent builders from
-    loading a half-written file.  An unwritable cache builds into a fresh
-    temporary directory instead."""
-    global _kernel
-    if _kernel is not None:
-        return _kernel
-    import hashlib
-    import subprocess
-    import tempfile
-
-    with open(_KERNEL_SOURCE, "rb") as fh:
-        key = hashlib.sha256(fh.read() + " ".join(_CFLAGS).encode()).hexdigest()
-    cache = _CACHE_DIR
-    try:
-        os.makedirs(cache, exist_ok=True)
-        writable = os.access(cache, os.W_OK)
-    except OSError:
-        writable = False
-    if not writable:
-        cache = tempfile.mkdtemp(prefix="microshell-")
-    lib = os.path.join(cache, "_chain-%s.so" % key[:16])
-    if not os.path.exists(lib):
-        tmp = "%s.%d.tmp" % (lib, os.getpid())
-        try:
-            subprocess.run(_CC + _CFLAGS + ["-o", tmp, _KERNEL_SOURCE, "-lm"],
-                           check=True, capture_output=True, text=True)
-        except (OSError, subprocess.CalledProcessError) as exc:
-            raise BuildError(
-                "cannot build the chain kernel with %r into %s: %s"
-                % (" ".join(_CC), cache, getattr(exc, "stderr", None) or exc)
-            ) from exc
-        os.replace(tmp, lib)
-    fn = ctypes.CDLL(lib).chain_chunk
-    i64, dbl, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    fn.argtypes = [i64, i64, dbl] + [i64] * 4 + [ptr] * 15
-    fn.restype = None
-    _kernel = fn
-    return fn
-
-
 def run_chain(spec, params, seed, reference=None):
     """Metropolis chain on the shell.
 
@@ -278,7 +227,7 @@ def run_chain(spec, params, seed, reference=None):
     residuals = np.empty(params.n_states)
     total_steps = params.burn_in + params.n_states * params.thin
 
-    chunk = _chain_kernel()
+    chunk = _kernel.library().chain_chunk
     for done in range(0, total_steps, _CHUNK):
         todo = min(_CHUNK, total_steps - done)
         idxs = rng.integers(0, n, size=todo)
@@ -395,7 +344,10 @@ def brute_force_conditional(spec):
 
 def save_batch_csv(batch, csv_path):
     """Persist a batch as CSV: one row per state with its index, its
-    coordinates, its empirical means S_i and its max statistic M."""
+    coordinates, its empirical means S_i and its max statistic M, every
+    float cell as its repr.  The cells go to diagnostics._write_csv as
+    one float matrix, which the kernel library's formatter writes block
+    by block."""
     spec = batch.spec
     k = spec.set.k
     means = spec.set.phi(batch.states).mean(axis=2).T
@@ -406,8 +358,4 @@ def save_batch_csv(batch, csv_path):
         + ["S%d" % (i + 1) for i in range(k)]
         + ["max_stat"]
     )
-    rows = (
-        [idx] + state.tolist() + mean.tolist() + [m]
-        for idx, (state, mean, m) in enumerate(zip(batch.states, means, M.tolist()))
-    )
-    diag._write_csv(csv_path, header, rows)
+    diag._write_csv(csv_path, header, np.column_stack((batch.states, means, M)))

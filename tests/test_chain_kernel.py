@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from microshell import _kernel as kern
 from microshell import cli
 from microshell import observables as obs
 from microshell import quadrature as quad
@@ -231,9 +232,9 @@ class TestBuild:
     def test_missing_compiler_is_a_clear_error(self, monkeypatch, tmp_path, capsys):
         cache = str(tmp_path / "cache")
         missing = str(tmp_path / "no-such-cc")
-        monkeypatch.setattr(smp, "_kernel", None)
-        monkeypatch.setattr(smp, "_CACHE_DIR", cache)
-        monkeypatch.setattr(smp, "_CC", [missing])
+        monkeypatch.setattr(kern, "_lib", None)
+        monkeypatch.setattr(kern, "_CACHE_DIR", cache)
+        monkeypatch.setattr(kern, "_CC", [missing])
         with pytest.raises(MicroshellError) as info:
             _small_chain()
         assert missing in str(info.value) and cache in str(info.value)
@@ -255,26 +256,38 @@ class TestBuild:
 
     def test_empty_cache_is_built_once_and_reused(self, monkeypatch, tmp_path):
         cache = tmp_path / "cache"
-        monkeypatch.setattr(smp, "_kernel", None)
-        monkeypatch.setattr(smp, "_CACHE_DIR", str(cache))
+        monkeypatch.setattr(kern, "_lib", None)
+        monkeypatch.setattr(kern, "_CACHE_DIR", str(cache))
         first = _small_chain()
         built = sorted(os.listdir(cache))
         assert len(built) == 1 and built[0].endswith(".so")
         stamp = os.stat(cache / built[0]).st_mtime_ns
 
         # a fresh load must find the library: a build would now fail
-        monkeypatch.setattr(smp, "_kernel", None)
-        monkeypatch.setattr(smp, "_CC", [str(tmp_path / "no-such-cc")])
+        monkeypatch.setattr(kern, "_lib", None)
+        monkeypatch.setattr(kern, "_CC", [str(tmp_path / "no-such-cc")])
         second = _small_chain()
         assert sorted(os.listdir(cache)) == built
         assert os.stat(cache / built[0]).st_mtime_ns == stamp
         assert _same_bits(first.states, second.states)
 
+    def test_every_kernel_source_ships_as_package_data(self):
+        # the library is built from every .c file next to the package; a
+        # source missing from the wheel would fail at a user's first build
+        tomllib = pytest.importorskip("tomllib")
+        root = os.path.join(os.path.dirname(__file__), os.pardir)
+        with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+            listed = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["microshell"]
+        sources = sorted(os.listdir(os.path.dirname(kern.__file__)))
+        sources = [s for s in sources if s.endswith(".c")]
+        assert "_chain.c" in sources and "_repr.c" in sources
+        assert [s for s in sources if s not in listed] == []
+
     def test_unwritable_cache_builds_in_a_temporary_directory(self, monkeypatch, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("")
-        monkeypatch.setattr(smp, "_kernel", None)
-        monkeypatch.setattr(smp, "_CACHE_DIR", str(blocker / "cache"))
+        monkeypatch.setattr(kern, "_lib", None)
+        monkeypatch.setattr(kern, "_CACHE_DIR", str(blocker / "cache"))
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
         os.mkdir(tmp_path / "tmp")
         batch = _small_chain()

@@ -309,6 +309,15 @@ class TestQuantile:
         with pytest.raises(ArgumentError, match="lie in"):
             quad.quantile(densities[0], u)
 
+    def test_argument_below_the_grid_raises(self, densities):
+        # the CDF grid drops the mass below its lower edge: for exp(1),
+        # u = 1e-300 used to return that edge, 6.4e-36
+        below = math.nextafter(quad._QUANTILE_U_MIN, 0.0)
+        assert quad._QUANTILE_U_MIN == pytest.approx(8.8e-27, rel=1e-2)
+        for u in (1e-300, below, [0.5, below]):
+            with pytest.raises(ArgumentError, match="lie in"):
+                quad.quantile(densities[0], u)
+
     def test_negative_cdf_argument_raises(self, densities):
         with pytest.raises(ArgumentError, match="nonnegative"):
             quad.cdf(densities[0], [1.0, -0.5])
@@ -343,6 +352,12 @@ class TestQuantile:
         d = quad.tilted_density(S12, (p1, 0.0))
         u = np.array(us)
         exact = -np.log1p(-u) / (1.0 - p1)
+        assert np.all(np.abs(quad.quantile(d, u) / exact - 1.0) <= 1e-8)
+
+    def test_exponential_closed_form_at_the_lower_bound(self):
+        d = quad.tilted_density(S12, (0.0, 0.0))
+        u = np.array([quad._QUANTILE_U_MIN, 1e-16])
+        exact = -np.log1p(-u)
         assert np.all(np.abs(quad.quantile(d, u) / exact - 1.0) <= 1e-8)
 
     def test_exponential_top_of_double_range(self):
