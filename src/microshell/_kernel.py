@@ -52,10 +52,12 @@ def library():
     format_rows set.  The first call in a process builds it unless the
     cache holds it; a temporary name replaced into place keeps concurrent
     builders from loading a half-written file.  An unwritable cache
-    builds into a fresh temporary directory instead."""
+    builds into a temporary directory instead, removed once the library
+    is loaded, so such an install builds again in every process."""
     global _lib, _tables
     if _lib is not None:
         return _lib
+    import contextlib
     import hashlib
     import subprocess
     import tempfile
@@ -65,27 +67,27 @@ def library():
     for source in sources:
         with open(source, "rb") as fh:
             digest.update(os.path.basename(source).encode() + b"\0" + fh.read())
-    cache = _CACHE_DIR
     try:
-        os.makedirs(cache, exist_ok=True)
-        writable = os.access(cache, os.W_OK)
+        os.makedirs(_CACHE_DIR, exist_ok=True)
+        writable = os.access(_CACHE_DIR, os.W_OK)
     except OSError:
         writable = False
-    if not writable:
-        cache = tempfile.mkdtemp(prefix="microshell-")
-    path = os.path.join(cache, "_kernel-%s.so" % digest.hexdigest()[:16])
-    if not os.path.exists(path):
-        tmp = "%s.%d.tmp" % (path, os.getpid())
-        try:
-            subprocess.run(_CC + _CFLAGS + ["-o", tmp] + sources + ["-lm"],
-                           check=True, capture_output=True, text=True)
-        except (OSError, subprocess.CalledProcessError) as exc:
-            raise BuildError(
-                "cannot build the kernel library with %r into %s: %s"
-                % (" ".join(_CC), cache, getattr(exc, "stderr", None) or exc)
-            ) from exc
-        os.replace(tmp, path)
-    lib = ctypes.CDLL(path)
+    with (contextlib.nullcontext(_CACHE_DIR) if writable
+          else tempfile.TemporaryDirectory(prefix="microshell-")) as cache:
+        path = os.path.join(cache, "_kernel-%s.so" % digest.hexdigest()[:16])
+        if not os.path.exists(path):
+            tmp = "%s.%d.tmp" % (path, os.getpid())
+            try:
+                subprocess.run(_CC + _CFLAGS + ["-o", tmp] + sources + ["-lm"],
+                               check=True, capture_output=True, text=True)
+            except (OSError, subprocess.CalledProcessError) as exc:
+                raise BuildError(
+                    "cannot build the kernel library with %r into %s: %s"
+                    % (" ".join(_CC), cache, getattr(exc, "stderr", None) or exc)
+                ) from exc
+            os.replace(tmp, path)
+        # a library stays mapped after its file is removed
+        lib = ctypes.CDLL(path)
     i64, dbl, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     lib.chain_chunk.argtypes = [i64, i64, dbl] + [i64] * 4 + [ptr] * 15
     lib.chain_chunk.restype = None

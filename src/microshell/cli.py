@@ -209,7 +209,7 @@ def _cmd_classify(config, out_dir, seed):
     return 0
 
 
-def _default_z_grid(oset, targets):
+def _default_z_grid(targets):
     a_k = float(targets[-1])
     lo = 0.25 * a_k
     hi = 2.0 * a_k
@@ -221,7 +221,7 @@ def _cmd_rate(config, out_dir, seed):
     targets = config["targets"]
     z_grid = config.get("z_grid")
     if z_grid is None:
-        z_grid = _default_z_grid(oset, targets)
+        z_grid = _default_z_grid(targets)
     evals = rate.rate_scan(oset, targets[:-1], np.asarray(z_grid, dtype=float))
     rows = (
         [ev.v[-1], ev.value]

@@ -2,10 +2,10 @@
 
 The dual problem minimizes the strictly convex map p |-> H(p) - p.v over
 the lexicographic domain of H.  A damped Newton iteration (covariance as
-Hessian, Armijo backtracking with factor 0.5) matches moments; boundary
-constraints (the trailing free coordinate must stay strictly below its
-bound) are enforced by capping the line search so the gap can at most
-halve per step.
+Hessian, Armijo backtracking with factor 0.5) matches moments.  The
+trailing free coordinate must stay strictly below its bound; it is
+substituted as p_m = bound - e^u, and every Newton step is capped at 5 in
+the substituted variables.
 
 Regimes, decided by classify alone (the rate functions read their
 values off its report):
@@ -44,7 +44,6 @@ __all__ = [
     "solve_reduced",
     "solve_full",
     "g1",
-    "g1_closed_form_available",
     "g2",
     "classify",
     "limiting_marginal",
@@ -77,16 +76,6 @@ class PhaseReport:
     notes: tuple = ()
 
 
-class _BoundaryDrift(Exception):
-    """Internal: iterate pinned against the trailing-coordinate bound with
-    its moment stuck below target."""
-
-
-class _AscentDiverged(Exception):
-    """Internal: iterate diverged (target outside the reachable moment set
-    from below)."""
-
-
 def _stats(obs_set, p):
     """H(p), the k moments and the k-by-k covariance from one
     tilt-statistics pass."""
@@ -110,11 +99,13 @@ def _match_prefix(obs_set, targets_m):
     p_m = bound - exp(u), which makes the bound unreachable without
     constraining the step of the remaining coordinates; damped Newton
     with the chain-rule Hessian and Armijo backtracking runs in the
-    substituted variables.  Raises _BoundaryDrift when the iterate
+    substituted variables.  Raises NoFullTilt when the iterate
     certifies that the m-th target exceeds every reachable m-th moment
-    on this face (p_m pinned at the bound with its moment short), and
-    _AscentDiverged when the target prefix is unreachable from below.
-    Returns the tilt, the iteration count and the tilt's _stats.
+    on this face (p_m pinned at the bound with its moment short, or still
+    pressing on it at the iteration cap), Infeasible when the iterate
+    diverges (the target prefix is unreachable by any tilt), and
+    SolverStall when the iteration cap is reached otherwise.  Returns the
+    tilt, the iteration count and the tilt's _stats.
     """
     k = obs_set.k
     m = len(targets_m)
@@ -134,6 +125,7 @@ def _match_prefix(obs_set, targets_m):
     f_cur = stats[0] - float(np.dot(p[:m], targets_m))
     drift_count = 0
     resid_hist = []
+    drift = "no interior tilt matches all moments (extraneous regime): "
     for it in range(1, _MAX_ITER + 1):
         _, mom, cov = stats
         grad = mom[:m] - targets_m
@@ -192,14 +184,13 @@ def _match_prefix(obs_set, targets_m):
             and resid_hist[-1] > 0.5 * resid_hist[-_DRIFT_WINDOW]
         )
         if pushing and (near_bound or (drift_count >= _DRIFT_WINDOW and plateau)):
-            raise _BoundaryDrift(
-                "p_%d pinned at %g with moment %g below target %g"
-                % (m, p[m - 1], mom[m - 1], targets_m[m - 1])
-            )
+            raise NoFullTilt(drift + "p_%d pinned at %g with moment %g below target %g"
+                             % (m, p[m - 1], mom[m - 1], targets_m[m - 1]))
         if float(np.max(np.abs(p))) > 1e7 or u[m - 1] > 50.0:
-            raise _AscentDiverged("iterate diverged at %s" % (p.tolist(),))
+            raise Infeasible("targets unreachable by any tilt: iterate diverged at %s"
+                             % (p.tolist(),))
     if drift_count > 0:
-        raise _BoundaryDrift("iteration cap with persistent boundary pressure")
+        raise NoFullTilt(drift + "iteration cap with persistent boundary pressure")
     raise SolverStall("no convergence in %d iterations" % _MAX_ITER)
 
 
@@ -235,10 +226,8 @@ def solve_reduced(obs_set, targets):
     for level in range(m, 0, -1):
         try:
             p, iters, stats = _match_prefix(obs_set, targets[:level])
-        except _BoundaryDrift:
+        except NoFullTilt:
             continue
-        except _AscentDiverged as exc:
-            raise Infeasible("targets unreachable: %s" % exc) from exc
         sol = _solution(p, stats, targets, level, iters)
         extra = np.asarray(sol.achieved[level:m]) - targets[level:m]
         if np.all(np.abs(extra) <= 1e-6):
@@ -262,7 +251,8 @@ def solve_reduced(obs_set, targets):
 def solve_full(obs_set, targets):
     """Match all k moments with an interior tilt (p_k < 0 for k >= 2,
     p_1 < 1 for k == 1).  Raises Infeasible at once where classify finds
-    the targets inadmissible by the floor check of _PrefixPhase."""
+    the targets inadmissible by the floor check of _PrefixPhase, and
+    otherwise what _match_prefix raises."""
     k = obs_set.k
     targets = np.asarray(targets, dtype=float)
     if targets.shape != (k,) or np.any(targets <= 0):
@@ -272,14 +262,7 @@ def solve_full(obs_set, targets):
         raise Infeasible("targets inadmissible: %s" % (
             floor.notes[0] if floor.notes
             else "a_k at or below the floor g1 = %r" % floor.g1))
-    try:
-        p, iters, stats = _match_prefix(obs_set, targets)
-    except _BoundaryDrift as exc:
-        raise NoFullTilt(
-            "no interior tilt matches all moments (extraneous regime): %s" % exc
-        ) from exc
-    except _AscentDiverged as exc:
-        raise Infeasible("targets unreachable by any tilt: %s" % exc) from exc
+    p, iters, stats = _match_prefix(obs_set, targets)
     return _solution(p, stats, targets, k, iters)
 
 
@@ -290,35 +273,32 @@ def g2(obs_set, targets):
     return float(sol.achieved[obs_set.k - 1])
 
 
-def g1_closed_form_available(obs_set):
-    """Whether g1 has a closed form for this set: k = 2 or k = 3.
-    classify checks the floor only then."""
-    return obs_set.k in (2, 3)
-
-
 def g1(obs_set, targets):
     """Floor of the k-th moment compatible with the first k-1 moments.
 
-    Closed forms for k = 2 (Jensen floor v_1^(e_2/e_1)) and k = 3
+    For k = 1 the floor is phi_1 at 0+, taken as 1e-12^e_1.  Closed forms
+    for k = 2 (Jensen floor v_1^(e_2/e_1)) and k = 3
     (v_1 s^(e_3 - e_1) with s = (v_2/v_1)^(1/(e_2 - e_1)), which is
     v_2^2 / v_1 at exponents (1, 2, 3)).  The k = 3 floor is reached by
     one atom at 0 and one at s: the dual certificate
     x^e_1 (x^(e_3 - e_1) - c x^(e_2 - e_1) - b) >= 0 has a double root at
     s, and Descartes' rule of signs allows no other positive root.  It is
     the floor for an admissible prefix, v_2 > v_1^(e_2/e_1).  Raises
-    ArgumentError for k >= 4 (g1_closed_form_available() is False there).
+    ArgumentError for k >= 4, where classify checks no floor.
     """
     targets = np.asarray(targets, dtype=float)
     k = obs_set.k
     if targets.shape != (k - 1,):
         raise ArgumentError("g1 takes the first k-1 targets")
-    if not g1_closed_form_available(obs_set):
-        raise ArgumentError("no closed-form floor g1 for this observable set")
     e, v = obs_set.exponents, targets
+    if k == 1:
+        return float(1e-12 ** e[0])
     if k == 2:
         return float(v[0] ** (e[1] / e[0]))
-    s = (v[1] / v[0]) ** (1.0 / (e[1] - e[0]))
-    return float(v[0] * s ** (e[2] - e[0]))
+    if k == 3:
+        s = (v[1] / v[0]) ** (1.0 / (e[1] - e[0]))
+        return float(v[0] * s ** (e[2] - e[0]))
+    raise ArgumentError("no closed-form floor g1 for this observable set")
 
 
 class _PrefixPhase:
@@ -330,17 +310,10 @@ class _PrefixPhase:
     def __init__(self, obs_set, prefix):
         self.obs_set = obs_set
         self.prefix = np.asarray(prefix, dtype=float)
-        k = obs_set.k
-        self.admissible = True
-        self.g1 = None
-        if k == 1:
-            # single constraint: the floor is phi_1 at 0+
-            self.g1 = float(1e-12 ** obs_set.exponents[0])
-        elif g1_closed_form_available(obs_set):
-            # a k = 3 prefix is admissible above its own Jensen floor
-            e, v = obs_set.exponents, self.prefix
-            self.admissible = k == 2 or v[1] > v[0] ** (e[1] / e[0])
-            self.g1 = g1(obs_set, self.prefix)
+        k, e, v = obs_set.k, obs_set.exponents, self.prefix
+        # a k = 3 prefix is admissible above its own Jensen floor
+        self.admissible = k != 3 or v[1] > v[0] ** (e[1] / e[0])
+        self.g1 = g1(obs_set, v) if k <= 3 else None
 
     @functools.cached_property
     def reduced(self):

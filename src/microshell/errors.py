@@ -62,7 +62,7 @@ class MixingFailure(MicroshellError):
 
 
 class BuildError(MicroshellError):
-    """The compiled chain kernel could not be built."""
+    """The kernel library could not be built."""
 
 
 class EmptyShell(MicroshellError):

@@ -292,5 +292,5 @@ class TestBuild:
         os.mkdir(tmp_path / "tmp")
         batch = _small_chain()
         assert batch.states.shape == (20, 8)
-        [fallback] = os.listdir(tmp_path / "tmp")
-        assert [f for f in os.listdir(tmp_path / "tmp" / fallback) if f.endswith(".so")]
+        # the build directory is gone once the library is loaded
+        assert os.listdir(tmp_path / "tmp") == []

@@ -155,6 +155,23 @@ class TestSolveCommand:
         assert float(payload["reduced"]["achieved"][2]) == pytest.approx(2.382, abs=1e-3)
         assert payload["full"]["error"] == "Infeasible"
 
+    def test_s2_prefix_writes_the_reduced_error_and_a_full_solution(self, tmp_path):
+        # lp3's targets: POWERS[1, 2, 3] at (1, 2.5, 7); the reduced solve
+        # walks down to the face p_2 = 0, where the second moment falls short
+        cfg = base_config(targets=[1.0, 2.5, 7.0])
+        cfg["observables"]["exponents"] = [1, 2, 3]
+        path = write_config(tmp_path, cfg)
+        out = str(tmp_path / "out")
+        assert cli.main(["solve", "--config", path, "--out", out]) == 0
+        payload = json.loads((tmp_path / "out" / "solve.json").read_text())
+        assert payload["reduced"] == {
+            "error": "Infeasible",
+            "message": "moment 2 reachable at most 2 on the boundary face, target 2.5",
+        }
+        full = payload["full"]
+        assert full["residual"] < 1e-8
+        assert full["achieved"] == pytest.approx([1.0, 2.5, 7.0], abs=1e-8)
+
 
 class TestRateCommand:
     def test_scan_csv(self, tmp_path):
@@ -171,6 +188,26 @@ class TestRateCommand:
         assert first[2] == "BOUNDARY"
         # z-values above the phase boundary share the flat rate value
         assert lines[3].split(",")[1] == lines[4].split(",")[1]
+
+    def test_default_grid(self, tmp_path):
+        # no z_grid: 41 points from a_k / 4 to 2 a_k, here 0.75 to 6
+        path = write_config(tmp_path, base_config())
+        out = str(tmp_path / "out")
+        assert cli.main(["rate", "--config", path, "--out", out]) == 0
+        lines = (tmp_path / "out" / "rate_scan.csv").read_text().strip().splitlines()
+        assert lines[0] == "z,I_value,p1,p2"
+        rows = [line.split(",") for line in lines[1:]]
+        z = [float(row[0]) for row in rows]
+        assert len(rows) == 41
+        assert z[0] == 0.75 and z[-1] == 6.0
+        assert z == sorted(z)
+        for zi, row in zip(z, rows):
+            if zi <= 1.0:
+                # at or below the floor g1 = a_1^2 = 1
+                assert row[1:] == ["inf", "BOUNDARY", ""]
+            elif zi >= 2.0:
+                # at or above g2 = 2: the flat rate at the reduced tilt
+                assert row[1:] == ["0.0", "0.0", "0.0"]
 
 
 class TestBruteforceCommand:

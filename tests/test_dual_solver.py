@@ -142,6 +142,12 @@ class TestPhaseFunctions:
         # POWERS[1,2,3]: floor of the third moment is v2^2 / v1
         assert dual.g1(S123, (1.0, 2.0)) == pytest.approx(4.0, rel=1e-9)
 
+    def test_g1_single_constraint_is_phi_at_zero_plus(self):
+        # k = 1: the floor is phi_1 at 1e-12, what classify reports
+        s = obs.power_set([2])
+        assert dual.g1(s, ()) == 1e-24
+        assert dual.classify(s, (2.0,)).g1 == 1e-24
+
     def test_g1_fractional_pair_numeric(self):
         s = obs.power_set([1, 1.5])
         assert dual.g1(s, (2.0,)) == pytest.approx(2.0 ** 1.5, rel=1e-3)
@@ -152,7 +158,6 @@ class TestPhaseFunctions:
     )
     def test_g1_without_closed_form_raises(self, exponents, prefix):
         s = obs.power_set(exponents)
-        assert not dual.g1_closed_form_available(s)
         with pytest.raises(ArgumentError):
             dual.g1(s, prefix)
 
