@@ -18,7 +18,7 @@ floats as repr), so reading a value back gives the same float and
 re-running a config reproduces byte-identical outputs.  Wall-clock
 timing goes to a separate run.log that is excluded from that guarantee.
 
-Exit codes: 0 success, 1 configuration/validation error, 2 numerical
+Exit codes: 0 success, 1 configuration error (load_config), 2 numerical
 failure.
 """
 
@@ -38,72 +38,68 @@ from . import observables as obs
 from . import quadrature as quad
 from . import rate_functions as rate
 from . import sampler as smp
-from .errors import ArgumentError, Infeasible, MicroshellError, NoFullTilt
+from .errors import (ArgumentError, Infeasible, InvalidObservableSet,
+                     MicroshellError, NoFullTilt)
 
-__all__ = ["main", "load_config", "run", "CONFIG_SCHEMA"]
+__all__ = ["main", "load_config", "run"]
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "required": ["observables", "targets"],
-    "additionalProperties": False,
-    "properties": {
-        "observables": {
-            "type": "object",
-            "required": ["exponents"],
-            "additionalProperties": False,
-            "properties": {
-                "exponents": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {"type": "number", "exclusiveMinimum": 0},
-                },
-            },
-        },
-        "targets": {
-            "type": "array",
-            "minItems": 1,
-            "items": {"type": "number"},
-        },
-        "n_list": {
-            "type": "array",
-            "items": {"type": "integer", "minimum": 1},
-        },
-        "delta_list": {
-            "type": "array",
-            "items": {"type": "number", "exclusiveMinimum": 0},
-        },
-        "chains": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "burn_in": {"type": "integer", "minimum": 0},
-                "thin": {"type": "integer", "minimum": 1},
-                "step_scale": {"type": "number", "exclusiveMinimum": 0},
-                "n_states": {"type": "integer", "minimum": 1},
-                "swap_prob": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
-            },
-        },
-        "target_measure": {"enum": ["uniform", "conditioned"]},
-        "z_grid": {
-            "type": "array",
-            "minItems": 2,
-            "items": {"type": "number"},
-        },
-        "seed": {"type": "integer"},
-        "output_dir": {"type": "string"},
-    },
+# The JSON type of every config field: "number" (an int or float),
+# "integer" (an int), "string", [a list of one type] or {an object of
+# named fields}.  Bounds are checked by the objects built from the values.
+_FIELDS = {
+    "observables": {"exponents": ["number"]},
+    "targets": ["number"],
+    "n_list": ["integer"],
+    "delta_list": ["number"],
+    "chains": {"burn_in": "integer", "thin": "integer", "step_scale": "number",
+               "n_states": "integer", "swap_prob": "number"},
+    "target_measure": "string",
+    "z_grid": ["number"],
+    "seed": "integer",
+    "output_dir": "string",
 }
+_REQUIRED = {"observables", "observables.exponents", "targets"}
+_TYPES = {"object": dict, "array": list, "number": (int, float), "integer": int,
+          "string": str}
 
 
-def _schema_error_message(err):
-    path = ".".join(str(p) for p in err.absolute_path) or "<root>"
-    return "config field %r: %s" % (path, err.message)
+def _config_error(path, message):
+    return ArgumentError("config field %r: %s" % (path or "<root>", message))
+
+
+def _check_types(value, kind, path=""):
+    """Raise ArgumentError at the first field of value that does not have
+    its _FIELDS type; a bool is neither a number nor an integer."""
+    json_type = {dict: "object", list: "array"}.get(type(kind), kind)
+    if isinstance(value, bool) or not isinstance(value, _TYPES[json_type]):
+        raise _config_error(path, "%r is not of type %r" % (value, json_type))
+    if isinstance(kind, list):
+        for i, item in enumerate(value):
+            _check_types(item, kind[0], "%s.%d" % (path, i))
+    elif isinstance(kind, dict):
+        unexpected = sorted(set(value) - set(kind))
+        if unexpected:
+            raise _config_error(path, "Additional properties are not allowed "
+                                "(%r was unexpected)" % unexpected[0])
+        for key, sub in kind.items():
+            name = path + "." + key if path else key
+            if key in value:
+                _check_types(value[key], sub, name)
+            elif name in _REQUIRED:
+                raise _config_error(path, "%r is a required property" % key)
+
+
+def _construct(path, make, *args, **kwargs):
+    """make(*args, **kwargs), its refusal of the arguments reported at path."""
+    try:
+        return make(*args, **kwargs)
+    except (ArgumentError, InvalidObservableSet) as exc:
+        raise _config_error(path, exc) from None
 
 
 def load_config(path):
-    """Parse and schema-validate a JSON experiment config."""
-    import jsonschema
-
+    """Parse a JSON experiment config and return it unchanged once every field
+    has its _FIELDS type and the objects built from the fields accept them."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -111,25 +107,30 @@ def load_config(path):
         raise ArgumentError("cannot read config %s: %s" % (path, exc))
     except json.JSONDecodeError as exc:
         raise ArgumentError("config %s is not valid JSON: %s" % (path, exc))
-    validator = jsonschema.Draft7Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))
-    if errors:
-        raise ArgumentError(_schema_error_message(errors[0]))
-    k = len(raw["observables"]["exponents"])
-    if len(raw["targets"]) != k:
-        raise ArgumentError(
-            "config field 'targets': expected %d values to match the %d "
-            "observables, got %d" % (k, k, len(raw["targets"]))
-        )
+    _check_types(raw, _FIELDS)
+    exponents = raw["observables"]["exponents"]
+    # power_set refuses a list at its first bad exponent, so building the
+    # set one prefix at a time names that exponent
+    for i in range(len(exponents) or 1):
+        oset = _construct("observables.exponents" + (".%d" % i if exponents else ""),
+                      obs.power_set, exponents[:i + 1])
+    targets = tuple(raw["targets"])
+    if len(targets) != oset.k:
+        raise _config_error("targets", "expected %d values to match the %d "
+                            "observables, got %d" % (oset.k, oset.k, len(targets)))
+    _construct("chains", smp.ChainParams, **raw.get("chains", {}))
+    for n, delta in _grid(raw):
+        _construct("n_list/delta_list", smp.ShellSpec, set=oset, n=n, delta=delta, a=targets)
+    if raw.get("target_measure", "uniform") not in ("uniform", "conditioned"):
+        raise _config_error("target_measure", "%r is not 'uniform' or 'conditioned'"
+                            % raw["target_measure"])
+    if "z_grid" in raw and len(raw["z_grid"]) < 2:
+        raise _config_error("z_grid", "%r is too short" % raw["z_grid"])
     return raw
 
 
 def _obs_set(config):
     return obs.power_set(config["observables"]["exponents"])
-
-
-def _chain_params(config):
-    return smp.ChainParams(**config.get("chains", {}))
 
 
 def _config_hash(config):
@@ -272,7 +273,7 @@ def _cmd_sample(config, out_dir, seed):
         )
     oset = _obs_set(config)
     targets = tuple(float(v) for v in config["targets"])
-    params = _chain_params(config)
+    params = smp.ChainParams(**config.get("chains", {}))
     report = dual.classify(oset, targets)
     marginal = dual.limiting_marginal(oset, targets, report=report)
     reference = None
@@ -361,10 +362,6 @@ def _cmd_verify(config, out_dir, seed):
         checks.append({"name": name, "passed": bool(passed), "data": data})
 
     report = dual.classify(oset, targets)
-    record("classification_resolves", report.regime in
-           ("EXTRANEOUS", "INTERIOR_S1", "FULL_TILT_S2", "INADMISSIBLE"),
-           regime=report.regime)
-
     sol = report.full or report.reduced
     if sol is not None:
         matched = len(sol.p) if report.full else oset.k - 1
@@ -455,12 +452,8 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
-    except ArgumentError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
-    out_dir = args.out or config.get("output_dir") or ("runs/%s" % args.command)
-    try:
+        seed = args.seed if args.seed is not None else config.get("seed", 0)
+        out_dir = args.out or config.get("output_dir") or ("runs/%s" % args.command)
         return run(args.command, config, out_dir, seed)
     except ArgumentError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -87,9 +87,9 @@ def power_set(exponents):
     exponents = tuple(float(e) for e in exponents)
     if len(exponents) == 0:
         raise InvalidObservableSet("empty exponent list")
-    if any(e <= 0 for e in exponents):
+    if not all(e > 0 for e in exponents):
         raise InvalidObservableSet("exponents must be positive")
-    if any(b <= a for a, b in zip(exponents, exponents[1:])):
+    if not all(b > a for a, b in zip(exponents, exponents[1:])):
         raise InvalidObservableSet("exponents must be strictly increasing")
     return ObservableSet(exponents)
 

@@ -76,7 +76,7 @@ class ShellSpec:
     a: tuple
 
     def __post_init__(self):
-        if self.n < 1 or self.delta <= 0:
+        if not (self.n >= 1 and self.delta > 0):
             raise ArgumentError("need n >= 1 and delta > 0")
         if len(self.a) != self.set.k:
             raise ArgumentError("need k target levels")

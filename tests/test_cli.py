@@ -1,6 +1,7 @@
 import glob
 import json
 import os
+import sys
 
 import pytest
 
@@ -65,11 +66,67 @@ class TestLoadConfig:
         with pytest.raises(ArgumentError, match="targets"):
             cli.load_config(path)
 
+    @pytest.mark.parametrize("cfg, field", [
+        ([1, 2], "<root>"),
+        ({"targets": [1.0]}, "'observables' is a required"),
+        ({"observables": {}, "targets": [1.0]}, "'exponents' is a required"),
+        ({"observables": {"exponents": [1, 2]}}, "'targets' is a required"),
+        (base_config(observables={"exponents": [1], "family": "x"}, targets=[1.0]),
+         "'observables'.*'family'"),
+        (base_config(observables={"exponents": []}), "observables.exponents"),
+        (base_config(targets=[1, True]), "targets.1"),
+        (base_config(n_list=[0], delta_list=[0.1]), "n_list"),
+        (base_config(n_list=[8], delta_list=[0]), "delta_list"),
+        (base_config(observables={"exponents": [1, float("nan")]}),
+         "observables.exponents.1"),
+        (base_config(n_list=[8], delta_list=[float("nan")]), "delta_list"),
+        (base_config(chains={"thin": 0}), "thin"),
+        (base_config(chains={"step_scale": 0}), "step_scale"),
+        (base_config(chains={"swap_prob": 1}), "swap_prob"),
+        (base_config(target_measure="x"), "target_measure"),
+        (base_config(z_grid=[1]), "z_grid"),
+        (base_config(seed="7"), "'seed'"),
+        (base_config(output_dir=3), "output_dir"),
+        # a JSON integer is an int: integral floats are refused as well
+        (base_config(seed=7.0), "'seed'"),
+        (base_config(chains={"burn_in": 100.0}), "burn_in"),
+        (base_config(n_list=[8.0]), "n_list.0"),
+    ])
+    def test_rejection_names_the_field(self, tmp_path, cfg, field):
+        path = write_config(tmp_path, cfg)
+        with pytest.raises(ArgumentError, match=field):
+            cli.load_config(path)
+
+    def test_needs_no_jsonschema(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(sys.modules, "jsonschema", None)
+        path = write_config(tmp_path, base_config())
+        out = str(tmp_path / "out")
+        assert cli.main(["validate", "--config", path, "--out", out]) == 0
+
 
 class TestExitCodes:
     def test_bad_config_returns_1(self, tmp_path):
         path = write_config(tmp_path, base_config(targets=[1.0]))
         assert cli.main(["classify", "--config", path]) == 1
+
+    def test_decreasing_exponents_return_1(self, tmp_path, capsys):
+        cfg = base_config(observables={"exponents": [2, 1]})
+        path = write_config(tmp_path, cfg)
+        out = str(tmp_path / "out")
+        assert cli.main(["classify", "--config", path, "--out", out]) == 1
+        assert "config field 'observables.exponents.1'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"seed": 7.0}, "seed"),
+        ({"chains": {"burn_in": 100.0}}, "chains.burn_in"),
+        ({"n_list": [8.0]}, "n_list.0"),
+    ])
+    def test_integral_float_returns_1(self, tmp_path, capsys, overrides, field):
+        cfg = base_config(**{"n_list": [8], "delta_list": [0.05], **overrides})
+        path = write_config(tmp_path, cfg)
+        out = str(tmp_path / "out")
+        assert cli.main(["sample", "--config", path, "--out", out]) == 1
+        assert "config field %r" % field in capsys.readouterr().err
 
     def test_classify_returns_0(self, tmp_path):
         path = write_config(tmp_path, base_config())
@@ -312,8 +369,7 @@ class TestVerifyCommand:
         payload = json.loads(v1)
         assert payload["passed"]
         names = {c["name"] for c in payload["checks"]}
-        assert names == {"classification_resolves", "moment_match",
-                         "legendre_duality", "chain_vs_bruteforce"}
+        assert names == {"moment_match", "legendre_duality", "chain_vs_bruteforce"}
 
     def test_seed_override_recorded(self, tmp_path):
         path = write_config(tmp_path, base_config(**self.CFG))

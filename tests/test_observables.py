@@ -16,12 +16,16 @@ class TestPowerSet:
             obs.power_set([0.0, 1.0])
         with pytest.raises(InvalidObservableSet):
             obs.power_set([-1.0, 2.0])
+        with pytest.raises(InvalidObservableSet):
+            obs.power_set([float("nan")])
 
     def test_rejects_non_increasing(self):
         with pytest.raises(InvalidObservableSet):
             obs.power_set([2.0, 1.0])
         with pytest.raises(InvalidObservableSet):
             obs.power_set([1.0, 1.0])
+        with pytest.raises(InvalidObservableSet):
+            obs.power_set([1.0, float("nan")])
 
     def test_evaluation(self):
         s = obs.power_set([1, 2])
