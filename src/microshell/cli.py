@@ -59,8 +59,12 @@ _FIELDS = {
     "output_dir": "string",
 }
 _REQUIRED = {"observables", "observables.exponents", "targets"}
-_TYPES = {"object": dict, "array": list, "number": (int, float), "integer": int,
-          "string": str}
+_TYPES = {"object": (dict,), "array": (list,), "number": (int, float),
+          "integer": (int,), "string": (str,)}
+
+
+class _NonFinite(str):
+    """A NaN or Infinity token of a config file: a value of no JSON type."""
 
 
 def _config_error(path, message):
@@ -68,10 +72,10 @@ def _config_error(path, message):
 
 
 def _check_types(value, kind, path=""):
-    """Raise ArgumentError at the first field of value that does not have
-    its _FIELDS type; a bool is neither a number nor an integer."""
+    """Raise ArgumentError at the first field of value whose exact type is not
+    its _FIELDS type: a bool is no number, and a NaN or Infinity token no type."""
     json_type = {dict: "object", list: "array"}.get(type(kind), kind)
-    if isinstance(value, bool) or not isinstance(value, _TYPES[json_type]):
+    if type(value) not in _TYPES[json_type]:
         raise _config_error(path, "%r is not of type %r" % (value, json_type))
     if isinstance(kind, list):
         for i, item in enumerate(value):
@@ -102,7 +106,7 @@ def load_config(path):
     has its _FIELDS type and the objects built from the fields accept them."""
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=_NonFinite)
     except OSError as exc:
         raise ArgumentError("cannot read config %s: %s" % (path, exc))
     except json.JSONDecodeError as exc:
@@ -299,9 +303,8 @@ def _cmd_sample(config, out_dir, seed):
     for delta, maxima in maxima_by_delta.items():
         if len(maxima) < 2:
             continue
-        g2v = report.g2
-        eps = diag.default_epsilon(targets[-1], g2v)
-        level = (targets[-1] - g2v) if (g2v is not None and targets[-1] > g2v) else 0.0
+        level = report.surplus
+        eps = diag.default_epsilon(level)
         upper = diag.tail_rate(
             maxima,
             lambda M: M >= level + eps,
@@ -362,17 +365,16 @@ def _cmd_verify(config, out_dir, seed):
         checks.append({"name": name, "passed": bool(passed), "data": data})
 
     report = dual.classify(oset, targets)
-    sol = report.full or report.reduced
+    sol = report.solution
     if sol is not None:
-        matched = len(sol.p) if report.full else oset.k - 1
+        matched = oset.k - 1 if report.regime == "EXTRANEOUS" else oset.k
         resid = max(
             (abs(sol.achieved[i] - targets[i]) for i in range(matched)), default=0.0
         )
         record("moment_match", resid <= 1e-6, residual=resid)
         # Legendre duality at the solved tilt: I(moments(p)) == p.v - H(p)
-        p = list(sol.p)
-        v = quad.moments(oset, p)
-        direct = float(np.dot(p, v)) - quad.log_partition(oset, p)
+        v = sol.achieved
+        direct = float(np.dot(sol.p, v)) - sol.log_partition_value
         ev = rate.rate_I(oset, v)
         record(
             "legendre_duality",

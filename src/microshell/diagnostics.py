@@ -95,12 +95,10 @@ def max_stats(batch):
     return top[:, -1].copy(), top[:, -2].copy()
 
 
-def default_epsilon(a_k, g2=None):
-    """Scale-aware event threshold: 0.1 (a_k - g2) when a surplus exists,
-    plain 0.1 otherwise."""
-    if g2 is not None and a_k > g2:
-        return 0.1 * (a_k - g2)
-    return 0.1
+def default_epsilon(surplus):
+    """Scale-aware event threshold: a tenth of a positive surplus a_k - g2
+    (PhaseReport.surplus), plain 0.1 otherwise."""
+    return 0.1 * surplus if surplus > 0 else 0.1
 
 
 def _wilson(successes, trials, z=1.96):

@@ -19,7 +19,8 @@ values off its report):
   FULL_TILT_S2 - the reduced problem is infeasible (or k = 1) but a full
                  tilt exists.
   INADMISSIBLE - a_k at or below the floor g1, or no tilt of any kind.
-ClassificationInconclusive is raised only when a solve stalls.
+ClassificationInconclusive is raised only when a solve stalls.  The report's
+solution and surplus give the limit law.  Targets must be positive and finite.
 """
 
 import functools
@@ -68,12 +69,24 @@ class DualSolution:
 
 @dataclass(frozen=True)
 class PhaseReport:
+    """The regime of a target vector.  surplus is the share a_k - g2 that one
+    coordinate carries when a_k is at or above g2, and 0 otherwise."""
+
     regime: str
     g1: Optional[float] = None
     g2: Optional[float] = None
     reduced: Optional[DualSolution] = None
     full: Optional[DualSolution] = None
     notes: tuple = ()
+    surplus: float = 0.0
+
+    @property
+    def solution(self):
+        """The limit marginal's tilt: reduced if EXTRANEOUS, else full (None if
+        INADMISSIBLE)."""
+        if self.regime == "INADMISSIBLE":
+            return None
+        return self.reduced if self.regime == "EXTRANEOUS" else self.full
 
 
 def _stats(obs_set, p):
@@ -82,6 +95,13 @@ def _stats(obs_set, p):
     c = quad.lebesgue_coefficients(obs_set, p)
     log_z, mom, cov = quad._tilt_stats(obs_set, c, obs_set.k)
     return log_z - quad._log_base_norm(obs_set), mom, cov
+
+
+def _checked_targets(targets, size):
+    targets = np.asarray(targets, dtype=float)
+    if targets.shape != (size,) or not np.all(np.isfinite(targets) & (targets > 0)):
+        raise ArgumentError("need %d targets, all positive and finite" % size)
+    return targets
 
 
 def _above_g2(a_k, g2v):
@@ -219,9 +239,7 @@ def solve_reduced(obs_set, targets):
     k = obs_set.k
     if k < 2:
         raise ArgumentError("reduced solve needs k >= 2")
-    targets = np.asarray(targets, dtype=float)
-    if targets.shape != (k - 1,) or np.any(targets <= 0):
-        raise ArgumentError("need k-1 positive targets")
+    targets = _checked_targets(targets, k - 1)
     m = k - 1
     for level in range(m, 0, -1):
         try:
@@ -254,9 +272,7 @@ def solve_full(obs_set, targets):
     the targets inadmissible by the floor check of _PrefixPhase, and
     otherwise what _match_prefix raises."""
     k = obs_set.k
-    targets = np.asarray(targets, dtype=float)
-    if targets.shape != (k,) or np.any(targets <= 0):
-        raise ArgumentError("need k positive targets")
+    targets = _checked_targets(targets, k)
     floor = _PrefixPhase(obs_set, targets[:-1]).floor_report(targets[-1])
     if floor is not None:
         raise Infeasible("targets inadmissible: %s" % (
@@ -286,11 +302,8 @@ def g1(obs_set, targets):
     the floor for an admissible prefix, v_2 > v_1^(e_2/e_1).  Raises
     ArgumentError for k >= 4, where classify checks no floor.
     """
-    targets = np.asarray(targets, dtype=float)
     k = obs_set.k
-    if targets.shape != (k - 1,):
-        raise ArgumentError("g1 takes the first k-1 targets")
-    e, v = obs_set.exponents, targets
+    e, v = obs_set.exponents, _checked_targets(targets, k - 1)
     if k == 1:
         return float(1e-12 ** e[0])
     if k == 2:
@@ -345,12 +358,12 @@ class _PrefixPhase:
         floor = self.floor_report(a_k)
         if floor is not None:
             return floor
-        g1v = self.g1
         reduced = self.reduced
         g2v = None if reduced is None else float(reduced.achieved[-1])
-        known = dict(g1=g1v, g2=g2v, reduced=reduced)
+        known = dict(g1=self.g1, g2=g2v, reduced=reduced)
         if reduced is not None and _above_g2(a_k, g2v):
-            return PhaseReport(regime="EXTRANEOUS", **known)
+            # float(): a numpy scalar would print as np.float64(...)
+            return PhaseReport("EXTRANEOUS", surplus=max(float(a_k - g2v), 0.0), **known)
         try:
             full = solve_full(self.obs_set, np.append(self.prefix, a_k))
         except SolverStall as exc:
@@ -375,19 +388,15 @@ class _PrefixPhase:
 
 def classify(obs_set, targets):
     """Four-way phase classification of a target moment vector."""
-    targets = np.asarray(targets, dtype=float)
-    if targets.shape != (obs_set.k,) or np.any(targets <= 0):
-        raise ArgumentError("need k positive targets")
+    targets = _checked_targets(targets, obs_set.k)
     return _PrefixPhase(obs_set, targets[:-1]).report(targets[-1])
 
 
 def limiting_marginal(obs_set, targets, report=None):
-    """Limit law of a single coordinate: the reduced density in the
-    extraneous regime (its k-th moment is g2, not a_k), otherwise the
-    full-tilt density."""
+    """Limit law of a single coordinate: the density of the report's
+    solution (in the extraneous regime its k-th moment is g2, not a_k)."""
     if report is None:
         report = classify(obs_set, targets)
-    if report.regime == "INADMISSIBLE":
+    if report.solution is None:
         raise Infeasible("no limiting marginal for inadmissible targets")
-    sol = report.reduced if report.regime == "EXTRANEOUS" else report.full
-    return quad.tilted_density(obs_set, sol.p)
+    return quad.tilted_density(obs_set, report.solution.p)

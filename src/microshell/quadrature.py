@@ -279,9 +279,9 @@ def _panel_integral(obs_set, c, gmax, a, t):
 
 
 def tilted_density(obs_set, p):
-    """Construct a normalized TiltedDensity with its CDF grid."""
+    """Construct a normalized TiltedDensity with its CDF grid; the grid's
+    total is its normaliser."""
     c = _checked_coefficients(obs_set, p)
-    log_norm = _tilt_stats(obs_set, c, 0)[0]
     gfun = lambda t: _log_weight(obs_set, c, t)
     t_lo, t_hi, gmax = _bracket(gfun, _TAIL_CUT_NATS + 20.0)
     edges = np.linspace(t_lo, t_hi, _CDF_PANELS + 1)
@@ -292,7 +292,7 @@ def tilted_density(obs_set, p):
     return TiltedDensity(
         set=obs_set,
         p=tuple(float(v) for v in p),
-        log_norm=log_norm,
+        log_norm=float(np.log(cum[-1]) + gmax),
         lebesgue_coeffs=c,
         gmax=gmax,
         edges=edges,

@@ -42,9 +42,9 @@ def _rate_eval(report, v):
     """I(v) from the phase report of v: p.v - H(p) at the report's
     maximizer (the reduced tilt has p_k = 0, so v_k carries no weight)."""
     vt = tuple(float(x) for x in v)
-    if report.regime == "INADMISSIBLE":
+    sol = report.solution
+    if sol is None:
         return RateEval(v=vt, value=math.inf, maximizer_p=BOUNDARY)
-    sol = report.reduced if report.regime == "EXTRANEOUS" else report.full
     value = float(np.dot(sol.p, v) - sol.log_partition_value)
     return RateEval(v=vt, value=_clip(value), maximizer_p=sol.p)
 
@@ -95,10 +95,10 @@ def rate_scan(obs_set, prefix, z_grid):
     prefix check and the reduced solve are done once for the whole grid;
     each point then costs at most one full solve."""
     prefix = tuple(float(x) for x in prefix)
-    if len(prefix) != obs_set.k - 1 or any(x <= 0 for x in prefix):
-        raise ArgumentError("prefix must be the k-1 leading positive targets")
+    if len(prefix) != obs_set.k - 1 or not all(0 < x < math.inf for x in prefix):
+        raise ArgumentError("prefix must be the k-1 leading positive finite targets")
     z_grid = [float(z) for z in z_grid]
-    if any(b <= a for a, b in zip(z_grid, z_grid[1:])):
-        raise ArgumentError("z_grid must be strictly increasing")
+    if not all(map(math.isfinite, z_grid)) or any(b <= a for a, b in zip(z_grid, z_grid[1:])):
+        raise ArgumentError("z_grid must be finite and strictly increasing")
     phase = dual._PrefixPhase(obs_set, prefix)
     return [_rate_eval(phase.report(z), prefix + (z,)) for z in z_grid]

@@ -76,8 +76,8 @@ class ShellSpec:
     a: tuple
 
     def __post_init__(self):
-        if not (self.n >= 1 and self.delta > 0):
-            raise ArgumentError("need n >= 1 and delta > 0")
+        if not (self.n >= 1 and 0 < self.delta < math.inf):
+            raise ArgumentError("need n >= 1 and a finite delta > 0")
         if len(self.a) != self.set.k:
             raise ArgumentError("need k target levels")
 
@@ -136,10 +136,11 @@ def shell_residual(spec, x):
 def feasible_point(spec):
     """A configuration inside the shell.
 
-    Most coordinates start at quantiles of the limiting marginal; in the
-    extraneous regime one spike coordinate absorbs the surplus
-    n (a_k - g2) of the last observable.  A damped Gauss-Newton sweep on
-    the residual vector then pulls the configuration into the shell.
+    The coordinates start at quantiles of the limiting marginal, except
+    that for n >= 2 with a positive surplus (PhaseReport.surplus) one
+    spike coordinate absorbs n times the surplus of the last observable.
+    A damped Gauss-Newton sweep on the residual vector then pulls the
+    configuration into the shell.
     """
     report = dual.classify(spec.set, spec.a)
     if report.regime == "INADMISSIBLE":
@@ -147,13 +148,9 @@ def feasible_point(spec):
     marginal = dual.limiting_marginal(spec.set, spec.a, report=report)
     n, k = spec.n, spec.set.k
 
-    if report.regime == "EXTRANEOUS" and n >= 2:
-        surplus = n * (spec.a[k - 1] - report.g2)
+    if report.surplus > 0 and n >= 2:
         bulk = quad.quantile(marginal, (np.arange(n - 1) + 0.5) / (n - 1))
-        if surplus > 0:
-            spike = surplus ** (1.0 / spec.set.exponents[-1])
-        else:
-            spike = quad.quantile(marginal, 0.5)
+        spike = (n * report.surplus) ** (1.0 / spec.set.exponents[-1])
         x = np.concatenate([np.atleast_1d(bulk), [spike]])
     else:
         x = np.atleast_1d(quad.quantile(marginal, (np.arange(n) + 0.5) / n))

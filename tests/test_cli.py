@@ -1,5 +1,7 @@
+import csv
 import glob
 import json
+import math
 import os
 import sys
 
@@ -127,6 +129,23 @@ class TestExitCodes:
         out = str(tmp_path / "out")
         assert cli.main(["sample", "--config", path, "--out", out]) == 1
         assert "config field %r" % field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, overrides, field, token", [
+        ("classify", {"targets": [1.0, math.nan]}, "targets.1", "NaN"),
+        ("classify", {"targets": [1.0, math.inf]}, "targets.1", "Infinity"),
+        ("classify", {"targets": [-math.inf, 3.0]}, "targets.0", "-Infinity"),
+        ("rate", {"z_grid": [1.0, math.nan]}, "z_grid.1", "NaN"),
+        ("classify", {"output_dir": math.nan}, "output_dir", "NaN"),
+    ])
+    def test_non_finite_number_returns_1(self, tmp_path, capsys, command, overrides,
+                                         field, token):
+        # json.dumps writes NaN, Infinity and -Infinity, which are not JSON
+        path = write_config(tmp_path, base_config(**overrides))
+        out = str(tmp_path / "out")
+        assert cli.main([command, "--config", path, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "config field %r: %r is not of type" % (field, token) in err
+        assert not os.path.exists(out)
 
     def test_classify_returns_0(self, tmp_path):
         path = write_config(tmp_path, base_config())
@@ -301,6 +320,15 @@ class TestSampleCommand:
         lines = (tmp_path / "out" / "summary.csv").read_text().strip().splitlines()
         assert lines[0] == "n,delta,ks,mean_M,mean_N"
         assert len(lines) == 3
+        # a numpy scalar would write its repr, np.float64(...), into a cell
+        for name in files:
+            assert "np." not in (tmp_path / "out" / name).read_text(), name
+        with open(tmp_path / "out" / "tail_rates_0.2.csv", newline="") as fh:
+            events = {row["event"] for row in csv.DictReader(fh)}
+        # the targets (1, 3) are extraneous: both tails are estimated
+        assert {e[:3] for e in events} == {"M>=", "M<="}
+        for event in events:
+            assert repr(float(event[3:])) == event[3:]
 
     def test_conditioned_target_measure(self, tmp_path):
         cfg = base_config(

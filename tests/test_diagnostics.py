@@ -156,12 +156,11 @@ class TestMaxStats:
 
 class TestDefaultEpsilon:
     def test_extraneous_scale(self):
-        assert diag.default_epsilon(3.0, 2.0) == pytest.approx(0.1)
-        assert diag.default_epsilon(7.0, 2.0) == pytest.approx(0.5)
+        assert diag.default_epsilon(1.0) == pytest.approx(0.1)
+        assert diag.default_epsilon(5.0) == pytest.approx(0.5)
 
     def test_fallback(self):
-        assert diag.default_epsilon(1.5, None) == pytest.approx(0.1)
-        assert diag.default_epsilon(1.5, 2.0) == pytest.approx(0.1)
+        assert diag.default_epsilon(0.0) == pytest.approx(0.1)
 
 
 class TestTailRate:
@@ -319,3 +318,19 @@ class TestCSVWriter:
                 w.writerow([repr(v) if isinstance(v, float) else v for v in row])
         assert got.read_bytes() == want.read_bytes()
         assert got.read_bytes().count(b"\r\n") == len(rows) + 1
+
+
+class _PositiveLastCoefficient:
+    # tilted_density refuses such a tilt (it is outside the domain), so
+    # this density is built by hand
+    lebesgue_coeffs = (-1.0, 0.5)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: diag.tail_rate([(8, np.array([])), (16, np.array([]))],
+                            lambda M: M >= 0, "LINEAR_N"), "zero recorded states"),
+    (lambda: diag.appendix_checks(S12, _PositiveLastCoefficient()), "must be negative"),
+], ids=["tail_rate_empty_batch", "appendix_positive_coefficient"])
+def test_raised_error_paths(call, match):
+    with pytest.raises(ArgumentError, match=match):
+        call()

@@ -307,3 +307,39 @@ class TestLimitingMarginal:
     def test_inadmissible_has_no_marginal(self):
         with pytest.raises(Infeasible):
             dual.limiting_marginal(S12, (1.0, 0.5))
+
+
+class TestPhaseReportLimit:
+    def test_extraneous_surplus_is_a_float_beyond_g2(self):
+        report = dual.classify(S12, (1.0, 3.0))
+        assert report.regime == "EXTRANEOUS"
+        assert type(report.surplus) is float
+        assert report.surplus == 3.0 - report.g2
+        assert report.surplus == pytest.approx(1.0, abs=1e-8)  # g2 = 2 for exp(1)
+        assert report.solution is report.reduced
+
+    def test_interior_has_no_surplus(self):
+        report = dual.classify(S12, (1.0, 1.5))
+        assert report.regime == "INTERIOR_S1"
+        assert report.surplus == 0.0
+        assert report.solution is report.full
+
+    def test_inadmissible_has_no_solution(self):
+        reduced = dual.solve_reduced(S12, (1.0,))
+        report = dual.PhaseReport(regime="INADMISSIBLE", reduced=reduced)
+        assert report.solution is None
+        assert dual.classify(S12, (1.0, 0.5)).solution is None
+
+
+@pytest.mark.parametrize("fn, oset", [
+    (dual.classify, S12),
+    (dual.solve_full, S12),
+    (dual.solve_reduced, S123),
+    (dual.g1, S123),
+], ids=["classify", "solve_full", "solve_reduced", "g1"])
+@pytest.mark.parametrize("targets", [
+    (1.0, math.nan), (1.0, math.inf), (-math.inf, 1.0), (1.0, 2.0, 3.0), (1.0,),
+], ids=["nan", "inf", "-inf", "too_long", "too_short"])
+def test_refuses_non_finite_or_misshapen_targets(fn, oset, targets):
+    with pytest.raises(ArgumentError, match="need 2 targets, all positive and finite"):
+        fn(oset, targets)

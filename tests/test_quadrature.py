@@ -494,3 +494,31 @@ class TestTiltStatsKernel:
         with pytest.raises(QuadratureError, match="after 4 halvings"):
             quad.moments(S12, [0.0, 0.0])
         assert len(calls) == quad._GRID_HALVINGS + 1
+
+
+@pytest.mark.parametrize("oset, p", [
+    (S12, (0.3, 0.0)),
+    (S12, (0.1, -0.4)),
+    (S2, (-3.0,)),
+    (S123, TestTiltStatsKernel.NARROW),
+    (S123, (-2.811038655997465, 1.0588915929298217, -0.00010870242245349106)),
+])
+def test_density_normaliser_is_its_cdf_grid_total(oset, p):
+    # the grid's total and the tilt-statistics rule integrate the same weight
+    d = quad.tilted_density(oset, p)
+    assert d.log_norm == np.log(d.cum[-1]) + d.gmax
+    want = quad.log_partition(oset, p) + quad._log_base_norm(oset)
+    assert d.log_norm == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: quad.lebesgue_coefficients(S12, [0.0]), "length k=2"),
+    (lambda: quad.in_domain(S12, [0.0, 0.0, 0.0]), "length k=2"),
+    (lambda: quad.log_prob_interval(quad.tilted_density(S12, [0.0, 0.0]), 2.0, 1.0),
+     "0 <= a < b"),
+    (lambda: quad.log_prob_interval(quad.tilted_density(S12, [0.0, 0.0]), 1.0, 1.0),
+     "0 <= a < b"),
+], ids=["lebesgue_coefficients", "in_domain", "interval_reversed", "interval_empty"])
+def test_raised_error_paths(call, match):
+    with pytest.raises(ArgumentError, match=match):
+        call()

@@ -7,6 +7,7 @@ from microshell import dual_solver as dual
 from microshell import observables as obs
 from microshell import quadrature as quad
 from microshell import rate_functions as rf
+from microshell.errors import ArgumentError
 
 S12 = obs.power_set([1, 2])
 S123 = obs.power_set([1, 2, 3])
@@ -186,3 +187,21 @@ class TestRateScan:
             regimes.add(dual.classify(oset, v).regime)
         # the grid crosses the floor, the interior and the flat part
         assert regimes == {"INADMISSIBLE", "INTERIOR_S1", "EXTRANEOUS"}
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: rf.rate_scan(S12, (), [1.0, 2.0]), "prefix"),
+    (lambda: rf.rate_scan(S12, (0.0,), [1.0, 2.0]), "prefix"),
+    (lambda: rf.rate_scan(S12, (math.nan,), [1.0, 2.0]), "prefix"),
+    (lambda: rf.rate_scan(S12, (math.inf,), [1.0, 2.0]), "prefix"),
+    (lambda: rf.rate_scan(S12, (1.0,), [2.0, 1.0]), "z_grid"),
+    (lambda: rf.rate_scan(S12, (1.0,), [1.0, 1.0]), "z_grid"),
+    (lambda: rf.rate_scan(S12, (1.0,), [1.0, math.nan]), "z_grid"),
+    (lambda: rf.rate_scan(S12, (1.0,), [1.0, math.inf]), "z_grid"),
+    (lambda: rf.jmax_projected(S12, (1.0, 3.0), -0.5), "0 <= z <= a_k"),
+    (lambda: rf.jmax_projected(S12, (1.0, 3.0), 3.5), "0 <= z <= a_k"),
+], ids=["prefix_length", "prefix_zero", "prefix_nan", "prefix_inf", "z_decreasing",
+        "z_repeated", "z_nan", "z_inf", "jmax_negative", "jmax_beyond_a_k"])
+def test_raised_error_paths(call, match):
+    with pytest.raises(ArgumentError, match=match):
+        call()

@@ -30,6 +30,11 @@ class TestShellSpec:
         with pytest.raises(ArgumentError):
             smp.ShellSpec(set=S12, n=4, delta=0.1, a=(1.0,))
 
+    @pytest.mark.parametrize("delta", [math.inf, math.nan])
+    def test_rejects_non_finite_delta(self, delta):
+        with pytest.raises(ArgumentError, match="finite delta"):
+            smp.ShellSpec(set=S12, n=4, delta=delta, a=(1.0, 2.0))
+
     def test_residual_definition(self):
         spec = spec12(n=2, delta=0.5, a=(1.5, 2.5))
         x = np.array([1.0, 2.0])
