@@ -12,13 +12,17 @@ values off its report):
   EXTRANEOUS   - the reduced problem (last tilt zero) matches the first
                  k-1 moments and the target a_k is at least the reduced
                  k-th moment g2 (or below it by less than the full solve
-                 resolves, so that its tilt drifts onto p_k = 0); the last
+                 resolves, so that its tilt is pinned at p_k = 0); the last
                  constraint does not tilt the limit marginal and its
                  surplus localizes.
   INTERIOR_S1  - a_k below g2; a full tilt with p_k < 0 matches all k.
   FULL_TILT_S2 - the reduced problem is infeasible (or k = 1) but a full
                  tilt exists.
-  INADMISSIBLE - a_k at or below the floor g1, or no tilt of any kind.
+  INADMISSIBLE - some v_j at or below the floor g1 of v_1 ... v_{j-1}
+                 (known for j <= 3), or no tilt of any kind.
+classify works level by level: on the face p_m = 0 the problem of the
+first m constraints is that of the first m - 1, so the reduced solution
+at level m is the solution of level m - 1's report.
 ClassificationInconclusive is raised only when a solve stalls.  The report's
 solution and surplus give the limit law.  Targets must be positive and finite.
 """
@@ -52,7 +56,6 @@ __all__ = [
 
 _MOMENT_TOL = 1e-8
 _MAX_ITER = 200
-_DRIFT_WINDOW = 20
 _MAX_STEP = 5.0
 
 
@@ -119,13 +122,13 @@ def _match_prefix(obs_set, targets_m):
     p_m = bound - exp(u), which makes the bound unreachable without
     constraining the step of the remaining coordinates; damped Newton
     with the chain-rule Hessian and Armijo backtracking runs in the
-    substituted variables.  Raises NoFullTilt when the iterate
-    certifies that the m-th target exceeds every reachable m-th moment
-    on this face (p_m pinned at the bound with its moment short, or still
-    pressing on it at the iteration cap), Infeasible when the iterate
-    diverges (the target prefix is unreachable by any tilt), and
-    SolverStall when the iteration cap is reached otherwise.  Returns the
-    tilt, the iteration count and the tilt's _stats.
+    substituted variables.  Raises NoFullTilt when p_m is pinned at the
+    bound with its moment still short of the target (the m-th target
+    exceeds every m-th moment reachable on this face), Infeasible when
+    the iterate diverges (the target prefix is unreachable by any tilt),
+    and SolverStall when the Armijo search finds no decrease or the
+    iteration cap is reached.  Returns the tilt, the iteration count and
+    the tilt's _stats.
     """
     k = obs_set.k
     m = len(targets_m)
@@ -143,15 +146,10 @@ def _match_prefix(obs_set, targets_m):
     p = to_p(u)
     stats = _stats(obs_set, p)
     f_cur = stats[0] - float(np.dot(p[:m], targets_m))
-    drift_count = 0
-    resid_hist = []
-    drift = "no interior tilt matches all moments (extraneous regime): "
     for it in range(1, _MAX_ITER + 1):
         _, mom, cov = stats
         grad = mom[:m] - targets_m
-        resid = float(np.max(np.abs(grad)))
-        resid_hist.append(resid)
-        if resid <= _MOMENT_TOL:
+        if float(np.max(np.abs(grad))) <= _MOMENT_TOL:
             return p, it, stats
         # chain rule: dp_m/du_m = -e^u
         dpdu = -math.exp(u[m - 1])
@@ -178,92 +176,73 @@ def _match_prefix(obs_set, targets_m):
             d *= _MAX_STEP / dmax
         gTd = float(np.dot(grad_u, d))
         alpha = 1.0
-        accepted = False
         for _ in range(60):
             trial_u = u + alpha * d
             trial_p = to_p(trial_u)
             trial_stats = _stats(obs_set, trial_p)
             f_new = trial_stats[0] - float(np.dot(trial_p[:m], targets_m))
             if f_new <= f_cur + 1e-4 * alpha * gTd + 1e-14:
-                u, p, f_cur, stats = trial_u, trial_p, f_new, trial_stats
-                accepted = True
                 break
             alpha *= 0.5
-        if not accepted:
-            drift_count = _DRIFT_WINDOW
-        # drift bookkeeping: pressed against the bound (u very negative)
-        # with the trailing moment still short of its target
-        near_bound = (bound - p[m - 1]) < 1e-9
-        pushing = d[m - 1] < 0 and mom[m - 1] < targets_m[m - 1]
-        if pushing:
-            drift_count += 1
         else:
-            drift_count = 0
-        plateau = (
-            len(resid_hist) > _DRIFT_WINDOW
-            and resid_hist[-1] > 0.5 * resid_hist[-_DRIFT_WINDOW]
-        )
-        if pushing and (near_bound or (drift_count >= _DRIFT_WINDOW and plateau)):
-            raise NoFullTilt(drift + "p_%d pinned at %g with moment %g below target %g"
+            raise SolverStall("line search found no decrease at iteration %d" % it)
+        u, p, f_cur, stats = trial_u, trial_p, f_new, trial_stats
+        if d[m - 1] < 0 and mom[m - 1] < targets_m[m - 1] and bound - p[m - 1] < 1e-9:
+            raise NoFullTilt("no interior tilt matches all moments (extraneous regime): p_%d "
+                             "pinned at %g with moment %g below target %g"
                              % (m, p[m - 1], mom[m - 1], targets_m[m - 1]))
         if float(np.max(np.abs(p))) > 1e7 or u[m - 1] > 50.0:
             raise Infeasible("targets unreachable by any tilt: iterate diverged at %s"
                              % (p.tolist(),))
-    if drift_count > 0:
-        raise NoFullTilt(drift + "iteration cap with persistent boundary pressure")
     raise SolverStall("no convergence in %d iterations" % _MAX_ITER)
 
 
-def _solution(p, stats, targets, matched, iterations):
-    h, achieved, _ = stats
-    resid = float(np.max(np.abs(achieved[:matched] - np.asarray(targets)[:matched])))
+def _full_solution(obs_set, targets):
+    """The DualSolution of _match_prefix on all of targets."""
+    p, iters, (h, achieved, _) = _match_prefix(obs_set, targets)
     return DualSolution(
         p=tuple(float(v) for v in p),
         achieved=tuple(float(v) for v in achieved),
         log_partition_value=float(h),
-        iterations=iterations,
-        residual=resid,
+        iterations=iters,
+        residual=float(np.max(np.abs(achieved[:len(targets)] - targets))),
     )
+
+
+def _inadmissible(report):
+    return Infeasible("targets inadmissible: %s" % (
+        report.notes[0] if report.notes
+        else "a_k at or below the floor g1 = %r" % report.g1))
+
+
+def _face_solution(report, targets):
+    """The solution of the report of targets (one level down) as the
+    reduced solution of the level above; Infeasible when the report has
+    none or leaves a surplus on its last coordinate (an S2 prefix)."""
+    if report.solution is None:
+        raise _inadmissible(report)
+    if report.surplus > 1e-6:
+        raise Infeasible("moment %d reachable at most %g on the boundary face, target %g"
+                         % (len(targets), report.g2, targets[-1]))
+    return report.solution
 
 
 def solve_reduced(obs_set, targets):
     """Match the first k-1 moments with zero k-th tilt.
 
-    Walks down the lexicographic boundary: first an interior solve with
-    p_{k-1} < 0; if the iterate drifts onto the face p_{k-1} = 0, the
-    face problem is solved with one fewer free coordinate and the
-    remaining moment constraints are checked a posteriori.  Raises
-    Infeasible when the targets are certifiably unreachable (the prefix
-    lies in S2 or outside the admissible set).
+    The reduced problem of k constraints is the problem of the first
+    k-1, so this is the solution of classify's report at level k-1: a
+    full tilt of the k-1 targets, or the reduced solution one level
+    further down when a_{k-1} is at (or within 1e-6 above) that level's
+    g2.  Raises Infeasible when the targets are inadmissible or the prefix
+    lies in S2 (a_{k-1} above that g2), and ClassificationInconclusive
+    when a solve below stalls.
     """
     k = obs_set.k
     if k < 2:
         raise ArgumentError("reduced solve needs k >= 2")
     targets = _checked_targets(targets, k - 1)
-    m = k - 1
-    for level in range(m, 0, -1):
-        try:
-            p, iters, stats = _match_prefix(obs_set, targets[:level])
-        except NoFullTilt:
-            continue
-        sol = _solution(p, stats, targets, level, iters)
-        extra = np.asarray(sol.achieved[level:m]) - targets[level:m]
-        if np.all(np.abs(extra) <= 1e-6):
-            return sol
-        if np.any(extra < -1e-6):
-            raise Infeasible(
-                "moment %d reachable at most %g on the boundary face, target %g"
-                % (
-                    int(np.argmax(extra < -1e-6)) + level + 1,
-                    sol.achieved[level:m][int(np.argmax(extra < -1e-6))],
-                    targets[level:m][int(np.argmax(extra < -1e-6))],
-                )
-            )
-        raise SolverStall(
-            "boundary face overshoots a matched target; no reduced solution found",
-            best=sol,
-        )
-    raise Infeasible("all boundary faces drifted; prefix lies in S2")
+    return _face_solution(_PrefixPhase(obs_set, targets[:-1]).report(targets[-1]), targets)
 
 
 def solve_full(obs_set, targets):
@@ -275,11 +254,8 @@ def solve_full(obs_set, targets):
     targets = _checked_targets(targets, k)
     floor = _PrefixPhase(obs_set, targets[:-1]).floor_report(targets[-1])
     if floor is not None:
-        raise Infeasible("targets inadmissible: %s" % (
-            floor.notes[0] if floor.notes
-            else "a_k at or below the floor g1 = %r" % floor.g1))
-    p, iters, stats = _match_prefix(obs_set, targets)
-    return _solution(p, stats, targets, k, iters)
+        raise _inadmissible(floor)
+    return _full_solution(obs_set, targets)
 
 
 def g2(obs_set, targets):
@@ -300,72 +276,77 @@ def g1(obs_set, targets):
     x^e_1 (x^(e_3 - e_1) - c x^(e_2 - e_1) - b) >= 0 has a double root at
     s, and Descartes' rule of signs allows no other positive root.  It is
     the floor for an admissible prefix, v_2 > v_1^(e_2/e_1).  Raises
-    ArgumentError for k >= 4, where classify checks no floor.
+    ArgumentError for k >= 4, where classify checks no floor at level k.
     """
-    k = obs_set.k
-    e, v = obs_set.exponents, _checked_targets(targets, k - 1)
-    if k == 1:
+    v = _checked_targets(targets, obs_set.k - 1)
+    if obs_set.k >= 4:
+        raise ArgumentError("no closed-form floor g1 for this observable set")
+    return _floor(obs_set.exponents, v)
+
+
+def _floor(e, v):
+    """g1 of the first len(v) + 1 <= 3 exponents e at the prefix v."""
+    if len(v) == 0:
         return float(1e-12 ** e[0])
-    if k == 2:
+    if len(v) == 1:
         return float(v[0] ** (e[1] / e[0]))
-    if k == 3:
-        s = (v[1] / v[0]) ** (1.0 / (e[1] - e[0]))
-        return float(v[0] * s ** (e[2] - e[0]))
-    raise ArgumentError("no closed-form floor g1 for this observable set")
+    s = (v[1] / v[0]) ** (1.0 / (e[1] - e[0]))
+    return float(v[0] * s ** (e[2] - e[0]))
 
 
 class _PrefixPhase:
-    """The part of classify that does not depend on a_k: the floor g1,
-    the admissibility of the prefix and the reduced solve.  The reduced
-    solve runs on first need, so targets at or below the floor never pay
-    for it; report(a_k) then costs at most one full solve."""
+    """Level m = len(prefix) + 1 of classify, the part that does not
+    depend on a_m: the floor g1 of the first m exponents (m <= 3), the
+    level below, which must admit prefix[-1], and the reduced solution, run
+    on first need; report(a_m) then costs at most one full solve.  Only
+    the top level (m = k) solves through solve_reduced and solve_full."""
 
     def __init__(self, obs_set, prefix):
         self.obs_set = obs_set
         self.prefix = np.asarray(prefix, dtype=float)
-        k, e, v = obs_set.k, obs_set.exponents, self.prefix
-        # a k = 3 prefix is admissible above its own Jensen floor
-        self.admissible = k != 3 or v[1] > v[0] ** (e[1] / e[0])
-        self.g1 = g1(obs_set, v) if k <= 3 else None
+        self.m = len(self.prefix) + 1
+        self.below = _PrefixPhase(obs_set, self.prefix[:-1]) if self.m > 1 else None
+        self.admissible = self.below is None or self.below.floor_report(self.prefix[-1]) is None
+        self.g1 = _floor(obs_set.exponents, self.prefix) if self.m <= 3 else None
 
     @functools.cached_property
     def reduced(self):
-        """The reduced solution, or None when the prefix has none (k = 1,
-        or an S2 or inadmissible prefix)."""
-        if self.obs_set.k == 1:
+        """The solution of the level below's report at prefix[-1], or None
+        when that report has none or a surplus above 1e-6 (m = 1, or an
+        S2 or inadmissible prefix)."""
+        if self.below is None:
             return None
         try:
-            return solve_reduced(self.obs_set, self.prefix)
+            if self.m == self.obs_set.k:
+                return solve_reduced(self.obs_set, self.prefix)
+            return _face_solution(self.below.report(self.prefix[-1]), self.prefix)
         except Infeasible:
             return None
-        except SolverStall as exc:
-            raise ClassificationInconclusive(
-                "reduced solve stalled", reduced=exc.best
-            ) from exc
 
-    def floor_report(self, a_k):
-        """The INADMISSIBLE report when the prefix is inadmissible or a_k
+    def floor_report(self, a_m):
+        """The INADMISSIBLE report when the prefix is inadmissible or a_m
         is at or below the floor g1, else None; no solve is run."""
         if not self.admissible:
             return PhaseReport(
                 regime="INADMISSIBLE", notes=("prefix outside admissible set",)
             )
-        if self.g1 is not None and a_k <= self.g1:
+        if self.g1 is not None and a_m <= self.g1:
             return PhaseReport(regime="INADMISSIBLE", g1=self.g1)
         return None
 
-    def report(self, a_k):
-        floor = self.floor_report(a_k)
+    def report(self, a_m):
+        floor = self.floor_report(a_m)
         if floor is not None:
             return floor
         reduced = self.reduced
-        g2v = None if reduced is None else float(reduced.achieved[-1])
+        g2v = None if reduced is None else float(reduced.achieved[self.m - 1])
         known = dict(g1=self.g1, g2=g2v, reduced=reduced)
-        if reduced is not None and _above_g2(a_k, g2v):
+        if reduced is not None and _above_g2(a_m, g2v):
             # float(): a numpy scalar would print as np.float64(...)
-            return PhaseReport("EXTRANEOUS", surplus=max(float(a_k - g2v), 0.0), **known)
+            return PhaseReport("EXTRANEOUS", surplus=max(float(a_m - g2v), 0.0), **known)
+        solve = solve_full if self.m == self.obs_set.k else _full_solution
         try:
-            full = solve_full(self.obs_set, np.append(self.prefix, a_k))
+            full = solve(self.obs_set, np.append(self.prefix, a_m))
         except SolverStall as exc:
             raise ClassificationInconclusive(
                 "full solve stalled", reduced=reduced, full=exc.best
@@ -374,15 +355,15 @@ class _PrefixPhase:
             if reduced is None:
                 note = "no tilt of any kind: %s" % exc
             elif isinstance(exc, NoFullTilt):
-                # a_k below g2 by less than the solve resolves: the full
-                # tilt drifts onto p_k = 0, which is the reduced solution
+                # a_m below g2 by less than the solve resolves: the full
+                # tilt is pinned at p_m = 0, which is the reduced solution
                 note = "a_k below g2 but no interior tilt found"
                 return PhaseReport(regime="EXTRANEOUS", notes=(note,), **known)
             else:
                 note = "a_k below the reachable floor"
             return PhaseReport(regime="INADMISSIBLE", notes=(note,), **known)
         regime = "FULL_TILT_S2" if reduced is None else "INTERIOR_S1"
-        notes = ("k=1: constraint always binds",) if self.obs_set.k == 1 else ()
+        notes = ("k=1: constraint always binds",) if self.m == 1 else ()
         return PhaseReport(regime=regime, full=full, notes=notes, **known)
 
 

@@ -20,6 +20,16 @@ S12 = obs.power_set([1, 2])
 S123 = obs.power_set([1, 2, 3])
 S115 = obs.power_set([1, 1.5])
 S2 = obs.power_set([2])
+S1234 = obs.power_set([1, 2, 3, 4])
+
+# POWERS[1, 2, 3, 4] prefixes that a level below level 4 refuses:
+# v2 = v1^2 is level 2's floor, and v3 = 5 lies below level 3's
+# floor v2^2 / v1 = 6.25
+K4_INADMISSIBLE_PREFIXES = [(1.0, 1.0, 7.0, 30.0), (1.0, 2.5, 5.0, 30.0)]
+
+
+def _no_solve(obs_set, p):
+    raise AssertionError("a tilt was integrated")
 
 
 def _lp_floor(exponents, prefix):
@@ -82,6 +92,22 @@ class TestReducedSolve:
         with pytest.raises(Infeasible):
             dual.solve_reduced(S123, (1.0, 2.5))
 
+    def test_prefix_below_its_floor_is_infeasible_at_once(self, monkeypatch):
+        # level 2 refuses a_2 = 0.5 below its floor v1^2 = 1 before any solve
+        monkeypatch.setattr(dual, "_stats", _no_solve)
+        with pytest.raises(Infeasible, match=r"targets inadmissible: a_k at or below "
+                                             r"the floor g1 = 1\.0"):
+            dual.solve_reduced(S123, (1.0, 0.5))
+
+    def test_s1_prefix_is_the_full_tilt_one_level_down(self):
+        # (1, 1.5) is interior for POWERS[1, 2], so the reduced solve of
+        # POWERS[1, 2, 3] is that full tilt with p_3 = 0
+        sol = dual.solve_reduced(S123, (1.0, 1.5))
+        full = dual.classify(S12, (1.0, 1.5)).full
+        assert sol.p[2] == 0.0
+        assert sol.p[:2] == full.p
+        assert sol.achieved[:2] == full.achieved
+
     def test_k1_has_no_reduced_problem(self):
         with pytest.raises(ArgumentError):
             dual.solve_reduced(S2, ())
@@ -110,13 +136,31 @@ class TestFullSolve:
             ((1, 2, 4), (1.0, 1.2, 1.6), "at or below the floor g1"),
             # v_2 = v_1^2 is the Jensen floor of a k = 3 prefix
             ((1, 2, 3), (1.0, 1.0, 7.0), "prefix outside admissible set"),
+            ((1, 2, 3, 4), K4_INADMISSIBLE_PREFIXES[0], "prefix outside admissible set"),
+            ((1, 2, 3, 4), K4_INADMISSIBLE_PREFIXES[1], "prefix outside admissible set"),
         ],
-        ids=["S12", "S123", "S124", "S123-prefix"],
+        ids=["S12", "S123", "S124", "S123-prefix", "S1234-v2", "S1234-v3"],
     )
     def test_below_the_floor_is_infeasible_at_once(self, exponents, targets, reason):
         # classify's floor check, where the Newton loop used to stall
         with pytest.raises(Infeasible, match=reason):
             dual.solve_full(obs.power_set(exponents), targets)
+
+    def test_failed_line_search_stalls_at_once(self, monkeypatch):
+        # H rises by 1000 at every evaluation, so no trial step decreases
+        # the objective: one start and 60 halvings, then SolverStall
+        calls = []
+        stats = dual._stats
+
+        def rising(obs_set, p):
+            calls.append(p)
+            h, mom, cov = stats(obs_set, p)
+            return h + 1e3 * len(calls), mom, cov
+
+        monkeypatch.setattr(dual, "_stats", rising)
+        with pytest.raises(SolverStall, match="line search found no decrease"):
+            dual.solve_full(S12, (1.0, 1.5))
+        assert len(calls) <= 62
 
     def test_k1(self):
         sol = dual.solve_full(S2, (2.0,))
@@ -261,6 +305,22 @@ class TestClassify:
             dual.classify(S12, (1.0, 1.5))
         assert info.value.full == "partial"
         assert info.value.reduced.achieved[1] == pytest.approx(2.0, abs=1e-8)
+
+    def test_stall_below_the_top_level_is_inconclusive(self):
+        # the prefix lies a relative 3.1e-4 above its Jensen floor v1^2, and
+        # level 2's full solve, which gives the reduced solution, stalls
+        targets = (1.9830911461036826, 3.933874701779754, 7.8134120713661614)
+        with pytest.raises(ClassificationInconclusive):
+            dual.classify(S123, targets)
+
+    @pytest.mark.parametrize("targets", K4_INADMISSIBLE_PREFIXES, ids=["v2", "v3"])
+    def test_k4_prefix_below_a_lower_floor_is_inadmissible_at_once(
+        self, monkeypatch, targets
+    ):
+        monkeypatch.setattr(dual, "_stats", _no_solve)
+        rep = dual.classify(S1234, targets)
+        assert rep.regime == "INADMISSIBLE"
+        assert rep.notes == ("prefix outside admissible set",)
 
     def test_newton_trial_through_narrow_tall_peak(self):
         # the full solve's line search tries a tilt whose log-weight

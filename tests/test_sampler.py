@@ -90,6 +90,24 @@ class TestFeasiblePoint:
         with pytest.raises(FeasibilityError):
             smp.feasible_point(spec)
 
+    @pytest.mark.parametrize(
+        "n, delta, a, message",
+        [
+            (1, 0.2537966971083521,
+             (0.9490851259426059, 0.9170392317872376, 0.9817987117124783),
+             "Gauss-Newton refinement stalled"),
+            (3, 0.2633742403469108,
+             (1.3749229669345693, 2.0021071395904078, 3.1566631707903583),
+             "did not reach the shell"),
+        ],
+        ids=["stalled", "step-cap"],
+    )
+    def test_refinement_failures_raise(self, n, delta, a, message):
+        # shells that the chain-kernel test's random draws reach
+        spec = smp.ShellSpec(set=S123, n=n, delta=delta, a=a)
+        with pytest.raises(FeasibilityError, match=message):
+            smp.feasible_point(spec)
+
 
 class TestRunChain:
     def test_states_stay_on_shell(self):
