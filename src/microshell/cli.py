@@ -38,8 +38,8 @@ from . import observables as obs
 from . import quadrature as quad
 from . import rate_functions as rate
 from . import sampler as smp
-from .errors import (ArgumentError, Infeasible, InvalidObservableSet,
-                     MicroshellError, NoFullTilt)
+from .errors import (ArgumentError, ClassificationInconclusive, Infeasible,
+                     InvalidObservableSet, MicroshellError, NoFullTilt, SolverStall)
 
 __all__ = ["main", "load_config", "run"]
 
@@ -184,7 +184,7 @@ def _cmd_solve(config, out_dir, seed):
         try:
             reduced = dual.solve_reduced(oset, targets[:-1])
             payload["reduced"] = _solution_payload(reduced)
-        except (Infeasible, NoFullTilt) as exc:
+        except (Infeasible, ClassificationInconclusive) as exc:
             payload["reduced"] = {"error": type(exc).__name__, "message": str(exc)}
     else:
         payload["reduced"] = {"error": "ArgumentError",
@@ -192,7 +192,7 @@ def _cmd_solve(config, out_dir, seed):
     try:
         full = dual.solve_full(oset, targets)
         payload["full"] = _solution_payload(full)
-    except (Infeasible, NoFullTilt) as exc:
+    except (Infeasible, NoFullTilt, SolverStall) as exc:
         payload["full"] = {"error": type(exc).__name__, "message": str(exc)}
     _write_json(os.path.join(out_dir, "solve.json"), payload)
     solved = any("p" in payload.get(k, {}) for k in ("reduced", "full"))
@@ -309,7 +309,7 @@ def _cmd_sample(config, out_dir, seed):
             maxima,
             lambda M: M >= level + eps,
             "LINEAR_N",
-            event_label="M>=%s" % repr(level + eps),
+            event_label="M>=%.10g" % (level + eps),
         )
         estimates = list(upper)
         if oset.gamma is not None and level > 0:
@@ -318,7 +318,7 @@ def _cmd_sample(config, out_dir, seed):
                 lambda M: M <= level - eps,
                 "POWER_GAMMA",
                 gamma=oset.gamma[0],
-                event_label="M<=%s" % repr(level - eps),
+                event_label="M<=%.10g" % (level - eps),
             )
             estimates += lower
         diag._write_csv(

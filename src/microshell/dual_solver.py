@@ -126,9 +126,9 @@ def _match_prefix(obs_set, targets_m):
     bound with its moment still short of the target (the m-th target
     exceeds every m-th moment reachable on this face), Infeasible when
     the iterate diverges (the target prefix is unreachable by any tilt),
-    and SolverStall when the Armijo search finds no decrease or the
-    iteration cap is reached.  Returns the tilt, the iteration count and
-    the tilt's _stats.
+    and SolverStall, carrying the last iterate as best, when the Armijo
+    search finds no decrease or the iteration cap is reached.  Returns
+    the DualSolution.
     """
     k = obs_set.k
     m = len(targets_m)
@@ -150,7 +150,7 @@ def _match_prefix(obs_set, targets_m):
         _, mom, cov = stats
         grad = mom[:m] - targets_m
         if float(np.max(np.abs(grad))) <= _MOMENT_TOL:
-            return p, it, stats
+            return _solution(p, it, stats, targets_m)
         # chain rule: dp_m/du_m = -e^u
         dpdu = -math.exp(u[m - 1])
         grad_u = grad.copy()
@@ -185,7 +185,8 @@ def _match_prefix(obs_set, targets_m):
                 break
             alpha *= 0.5
         else:
-            raise SolverStall("line search found no decrease at iteration %d" % it)
+            raise SolverStall("line search found no decrease at iteration %d" % it,
+                              best=_solution(p, it, stats, targets_m))
         u, p, f_cur, stats = trial_u, trial_p, f_new, trial_stats
         if d[m - 1] < 0 and mom[m - 1] < targets_m[m - 1] and bound - p[m - 1] < 1e-9:
             raise NoFullTilt("no interior tilt matches all moments (extraneous regime): p_%d "
@@ -194,17 +195,18 @@ def _match_prefix(obs_set, targets_m):
         if float(np.max(np.abs(p))) > 1e7 or u[m - 1] > 50.0:
             raise Infeasible("targets unreachable by any tilt: iterate diverged at %s"
                              % (p.tolist(),))
-    raise SolverStall("no convergence in %d iterations" % _MAX_ITER)
+    raise SolverStall("no convergence in %d iterations" % _MAX_ITER,
+                      best=_solution(p, _MAX_ITER, stats, targets_m))
 
 
-def _full_solution(obs_set, targets):
-    """The DualSolution of _match_prefix on all of targets."""
-    p, iters, (h, achieved, _) = _match_prefix(obs_set, targets)
+def _solution(p, iterations, stats, targets):
+    """The DualSolution of tilt p with its _stats, matched against targets."""
+    h, achieved, _ = stats
     return DualSolution(
         p=tuple(float(v) for v in p),
         achieved=tuple(float(v) for v in achieved),
         log_partition_value=float(h),
-        iterations=iters,
+        iterations=iterations,
         residual=float(np.max(np.abs(achieved[:len(targets)] - targets))),
     )
 
@@ -255,7 +257,7 @@ def solve_full(obs_set, targets):
     floor = _PrefixPhase(obs_set, targets[:-1]).floor_report(targets[-1])
     if floor is not None:
         raise _inadmissible(floor)
-    return _full_solution(obs_set, targets)
+    return _match_prefix(obs_set, targets)
 
 
 def g2(obs_set, targets):
@@ -344,7 +346,7 @@ class _PrefixPhase:
         if reduced is not None and _above_g2(a_m, g2v):
             # float(): a numpy scalar would print as np.float64(...)
             return PhaseReport("EXTRANEOUS", surplus=max(float(a_m - g2v), 0.0), **known)
-        solve = solve_full if self.m == self.obs_set.k else _full_solution
+        solve = solve_full if self.m == self.obs_set.k else _match_prefix
         try:
             full = solve(self.obs_set, np.append(self.prefix, a_m))
         except SolverStall as exc:

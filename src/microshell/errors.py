@@ -27,8 +27,9 @@ class Infeasible(MicroshellError):
 
 
 class SolverStall(MicroshellError):
-    """Newton iteration hit its cap without converging or certifying
-    boundary drift."""
+    """Newton iteration stopped unconverged: its line search found no
+    decrease or it reached its iteration cap.  best is the last iterate,
+    a DualSolution."""
 
     def __init__(self, message, best=None):
         super().__init__(message)

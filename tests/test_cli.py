@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import glob
 import json
 import math
@@ -248,6 +249,22 @@ class TestSolveCommand:
         assert full["residual"] < 1e-8
         assert full["achieved"] == pytest.approx([1.0, 2.5, 7.0], abs=1e-8)
 
+    def test_stalled_solves_are_recorded_as_errors(self, tmp_path):
+        # the prefix lies a relative 3.1e-4 above its Jensen floor: the
+        # level-2 solve under the reduced problem and the full solve both
+        # reach the Newton iteration cap
+        targets = [1.9830911461036826, 3.933874701779754, 7.8134120713661614]
+        cfg = base_config(targets=targets)
+        cfg["observables"]["exponents"] = [1, 2, 3]
+        path = write_config(tmp_path, cfg)
+        out = str(tmp_path / "out")
+        assert cli.main(["solve", "--config", path, "--out", out]) == 2
+        payload = json.loads((tmp_path / "out" / "solve.json").read_text())
+        assert payload["reduced"] == {
+            "error": "ClassificationInconclusive", "message": "full solve stalled"}
+        assert payload["full"] == {
+            "error": "SolverStall", "message": "no convergence in 200 iterations"}
+
 
 class TestRateCommand:
     def test_scan_csv(self, tmp_path):
@@ -329,6 +346,27 @@ class TestSampleCommand:
         assert {e[:3] for e in events} == {"M>=", "M<="}
         for event in events:
             assert repr(float(event[3:])) == event[3:]
+
+    def test_tail_rate_labels_ignore_rounding_noise_in_g2(self, tmp_path, monkeypatch):
+        # a threshold is labelled to 10 digits, so a surplus that moves by
+        # a few ulps (quadrature noise in g2) writes the same bytes
+        cfg = base_config(
+            n_list=[8, 16],
+            delta_list=[0.2],
+            chains={"burn_in": 1000, "thin": 4, "n_states": 100},
+        )
+        path = write_config(tmp_path, cfg)
+        assert cli.main(["sample", "--config", path, "--out", str(tmp_path / "a")]) == 0
+        classify = cli.dual.classify
+
+        def noisy(*args):
+            report = classify(*args)
+            return dataclasses.replace(report, surplus=report.surplus * (1.0 + 4e-15))
+
+        monkeypatch.setattr(cli.dual, "classify", noisy)
+        assert cli.main(["sample", "--config", path, "--out", str(tmp_path / "b")]) == 0
+        name = "tail_rates_0.2.csv"
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_conditioned_target_measure(self, tmp_path):
         cfg = base_config(

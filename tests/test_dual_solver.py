@@ -39,13 +39,16 @@ def _lp_floor(exponents, prefix):
     solution's positive atoms and their neighbours.  Each grid is laid out
     in its own unit, which keeps the program's entries within a few
     decades of 1: the coarse one in the Jensen scale v1^(1/e1), the fine
-    one in the coarse solution's largest support atom."""
+    one in the coarse solution's largest support atom.  When HiGHS reports
+    numerical difficulties (status 4) on the coarse program, as it does
+    with the floor atom 400 Jensen units out, the coarse grid is laid out
+    again in the scale v2^(1/e2) of the second moment."""
     e1, e2, e3 = exponents
     tol = dict(primal_feasibility_tolerance=1e-10, dual_feasibility_tolerance=1e-10)
 
     def solve(grid, unit):
         atoms = np.concatenate([[0.0], grid])
-        lp = linprog(
+        return linprog(
             atoms ** e3,
             A_eq=np.array([np.ones_like(atoms), atoms ** e1, atoms ** e2]),
             b_eq=[1.0, prefix[0] / unit ** e1, prefix[1] / unit ** e2],
@@ -53,16 +56,20 @@ def _lp_floor(exponents, prefix):
             method="highs",
             options=tol,
         )
-        assert lp.status == 0, lp.message
-        return lp.fun * unit ** e3, grid[lp.x[1:] > 0]
 
-    unit = prefix[0] ** (1.0 / e1)
     coarse = np.geomspace(1e-1, 1e3, 4001)
-    _, support = solve(coarse, unit)
+    for unit in (prefix[0] ** (1.0 / e1), prefix[1] ** (1.0 / e2)):
+        lp = solve(coarse, unit)
+        if lp.status != 4:
+            break
+    assert lp.status == 0, lp.message
     ratio = coarse[1] / coarse[0]
+    support = unit * coarse[lp.x[1:] > 0]
     top = support.max()
     fine = np.geomspace(support.min() / (ratio * top), ratio, 4001)
-    return solve(fine, unit * top)[0]
+    lp = solve(fine, top)
+    assert lp.status == 0, lp.message
+    return lp.fun * top ** e3
 
 
 class TestReducedSolve:
@@ -222,6 +229,9 @@ class TestPhaseFunctions:
     # a floor atom at 388 Jensen units, where the program in those units
     # made HiGHS report numerical difficulties
     @example(0.5, 1.75, 1.0, 1.0, 0.05078125)
+    # a floor atom at 400 Jensen units, where the coarse program in those
+    # units made HiGHS report numerical difficulties
+    @example(0.5, 1.868007660464631, 2.987063605154263, 1.0, 0.05)
     def test_g1_k3_matches_linear_program(self, e1, gap2, gap3, v1, w):
         # v2 = v1^(e2/e1) w^(-gap2/e1) lies above the prefix's Jensen
         # floor for every w < 1, so the prefix is admissible
@@ -312,6 +322,22 @@ class TestClassify:
         targets = (1.9830911461036826, 3.933874701779754, 7.8134120713661614)
         with pytest.raises(ClassificationInconclusive):
             dual.classify(S123, targets)
+
+    def test_stall_carries_the_last_iterate(self):
+        # the same stall: the level-2 Newton loop reaches its cap, and its
+        # last iterate rides on SolverStall.best into the verdict's full
+        targets = (1.9830911461036826, 3.933874701779754, 7.8134120713661614)
+        with pytest.raises(ClassificationInconclusive) as info:
+            dual.classify(S123, targets)
+        best = info.value.full
+        assert best is info.value.__cause__.best
+        assert isinstance(best, dual.DualSolution)
+        assert best.iterations == dual._MAX_ITER
+        assert best.p[2] == 0.0 and best.p[1] < 0.0
+        assert best.residual == pytest.approx(
+            max(abs(best.achieved[i] - targets[i]) for i in range(2)), rel=1e-15)
+        assert best.residual > dual._MOMENT_TOL
+        assert info.value.reduced.achieved[0] == pytest.approx(targets[0], abs=1e-8)
 
     @pytest.mark.parametrize("targets", K4_INADMISSIBLE_PREFIXES, ids=["v2", "v3"])
     def test_k4_prefix_below_a_lower_floor_is_inadmissible_at_once(

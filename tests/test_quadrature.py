@@ -491,9 +491,27 @@ class TestTiltStatsKernel:
             return False
 
         monkeypatch.setattr(quad, "_grids_agree", never)
-        with pytest.raises(QuadratureError, match="after 4 halvings"):
+        match = "after %d halvings" % quad._GRID_HALVINGS
+        with pytest.raises(QuadratureError, match=match):
             quad.moments(S12, [0.0, 0.0])
         assert len(calls) == quad._GRID_HALVINGS + 1
+
+    @pytest.mark.parametrize("oset, p", [
+        (S12, (0.0, 0.0)),
+        (S123, (0.5, 0.1, -0.05)),
+    ])
+    def test_refinement_work(self, oset, p, monkeypatch):
+        # the bracket scan costs 2801 log-weight evaluations; on these
+        # brackets, about 75 wide in t, grids of panel width 0.1 and 0.05
+        # cost about 33 000 more, and the grids of width 0.8 and 0.4,
+        # which already agree to 1e-10, about 4200
+        calls = []
+        real = quad._log_weight
+        monkeypatch.setattr(
+            quad, "_log_weight", lambda s, c, t: calls.append(np.size(t)) or real(s, c, t)
+        )
+        quad.moments(oset, p)
+        assert sum(calls) <= 8000
 
 
 @pytest.mark.parametrize("oset, p", [

@@ -91,20 +91,20 @@ class TestFeasiblePoint:
             smp.feasible_point(spec)
 
     @pytest.mark.parametrize(
-        "n, delta, a, message",
+        "oset, n, delta, a, message",
         [
-            (1, 0.2537966971083521,
-             (0.9490851259426059, 0.9170392317872376, 0.9817987117124783),
-             "Gauss-Newton refinement stalled"),
-            (3, 0.2633742403469108,
+            # an empty n = 1 shell: x in [0.95, 1.05] and x^2 in
+            # [1.45, 1.55] do not meet
+            (S12, 1, 0.05, (1.0, 1.5), "Gauss-Newton refinement stalled"),
+            # a shell that the chain-kernel test's random draws reach
+            (S123, 3, 0.2633742403469108,
              (1.3749229669345693, 2.0021071395904078, 3.1566631707903583),
              "did not reach the shell"),
         ],
         ids=["stalled", "step-cap"],
     )
-    def test_refinement_failures_raise(self, n, delta, a, message):
-        # shells that the chain-kernel test's random draws reach
-        spec = smp.ShellSpec(set=S123, n=n, delta=delta, a=a)
+    def test_refinement_failures_raise(self, oset, n, delta, a, message):
+        spec = smp.ShellSpec(set=oset, n=n, delta=delta, a=a)
         with pytest.raises(FeasibilityError, match=message):
             smp.feasible_point(spec)
 
